@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from . import __version__, corpus
 from .doubling import (
     DoublingCode,
+    doubling_search,
     exhaustive_xx_census,
     intersection_pattern,
     min_distance,
@@ -69,7 +70,6 @@ class RunManifest:
     command: str
     arguments: list
     version: str = __version__
-    seed: object = None
     timestamp: str = ""
     outputs: dict = field(default_factory=dict)
 
@@ -84,8 +84,7 @@ def _emit(args, text: str, manifest: RunManifest | None = None):
     if getattr(args, "out", None):
         digest = _atomic_write(args.out, text)
         if manifest is None:
-            manifest = RunManifest(args.cmd, sys.argv[1:],
-                                   seed=getattr(args, "seed", None))
+            manifest = RunManifest(args.cmd, sys.argv[1:])
         manifest.outputs[args.out] = digest
         manifest.write(args.out)
     else:
@@ -200,8 +199,6 @@ def cmd_doubling(args):
         db = load_spread_file(args.search_db)
         flt = tuple(args.filter) if args.filter else ("X", "X")
         out = []
-        from .doubling import doubling_search
-
         for code in doubling_search(db, flt, limit=args.limit):
             out.append(_pair_report(code.s1, code.s2))
         _emit(args, json.dumps(out, indent=2) + "\n")
@@ -247,15 +244,10 @@ def _census_text(census) -> str:
 
 def cmd_census(args):
     if args.exhaustive:
-        census = exhaustive_xx_census(jobs=args.jobs, limit=args.limit)
+        census = exhaustive_xx_census(limit=args.limit)
     else:
         db = load_spread_file(args.db)
-        pairs = []
-        for i, s1 in enumerate(db):
-            for s2 in db:
-                if validate_doubling(s1, s2).optimal:
-                    pairs.append((s1, s2))
-        census = pattern_census(pairs)
+        census = pattern_census((c.s1, c.s2) for c in doubling_search(db))
     manifest = RunManifest("census", sys.argv[1:])
     if args.out:
         buf = io.StringIO()
@@ -386,8 +378,6 @@ def build_parser() -> _Parser:
                             default="text")
         sp.add_argument("--out", help="write output to this file (atomic)")
         sp.add_argument("--limit", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("enumerate", help="list subspaces of PG(4,2)")
     sp.add_argument("kind", choices=("points", "lines", "planes", "solids"))
@@ -409,9 +399,11 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_doubling)
 
     sp = sub.add_parser("census", help="intersection-pattern census")
-    sp.add_argument("--db", help="spread file; all optimal ordered pairs used")
-    sp.add_argument("--exhaustive", action="store_true",
-                    help="census over every optimal (X,X) pair (long)")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--db",
+                        help="spread file; all optimal ordered (X,X) pairs used")
+    source.add_argument("--exhaustive", action="store_true",
+                        help="census over every optimal (X,X) pair")
     common(sp)
     sp.set_defaults(func=cmd_census)
 

@@ -24,6 +24,7 @@ import numpy as np
 from .doubling import DoublingCode, intersection_pattern, validate_doubling
 from .gf2geom import (
     Subspace,
+    act_subspace,
     dual,
     enumerate_subspaces,
     join,
@@ -183,10 +184,6 @@ class HKKConfig:
     h: Subspace
     e: Subspace
     e_prime: Subspace
-
-    @property
-    def h_basis(self) -> tuple:
-        return self.h.basis
 
 
 def _far_from(plane: Subspace, others, lower: int = 4) -> bool:
@@ -456,16 +453,6 @@ def cps_group() -> list:
     return group
 
 
-def _act_vector(v: int, m: np.ndarray) -> int:
-    row = np.array([(v >> i) & 1 for i in range(5)], dtype=np.uint8)
-    out = row @ m % 2
-    return int(sum(int(out[i]) << i for i in range(5)))
-
-
-def _act_subspace(s: Subspace, m: np.ndarray) -> Subspace:
-    return Subspace([_act_vector(v, m) for v in s.basis], 5)
-
-
 @dataclass(frozen=True)
 class CPSOrbits:
     line_orbits: tuple  # tuples of Subspace
@@ -492,7 +479,7 @@ def cps_orbits(group: Optional[list] = None) -> CPSOrbits:
         for s in items:
             if s.basis in seen:
                 continue
-            orb = sorted({_act_subspace(s, m) for m in group})
+            orb = sorted({act_subspace(s, m) for m in group})
             seen.update(o.basis for o in orb)
             out.append(tuple(orb))
         return tuple(out)

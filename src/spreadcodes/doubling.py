@@ -8,24 +8,24 @@ type-X first spread, each codeword plane B is profiled by its
 lines meet B, sorted descending, plus whether B meets the common line and
 how many holes of S1 it contains.
 
-The exhaustive census enumerates every ordered pair of type-X spreads
-forming an optimal code and histograms the patterns of all 9 planes of
-every pair.  The pair enumeration uses an inverted index: line l is
-*forbidden* for partners of S1 iff l is fully orthogonal to some line of
-S1 (equivalently, some line of S1 lies inside l's dual plane), so the
-partners of S1 are exactly the type-X spreads avoiding S1's 63 forbidden
-lines -- a bitset union and complement.
+The exhaustive census histograms the patterns of all 9 planes of every
+ordered optimal pair of type-X spreads.  It counts by symmetry: the
+type-X spreads form one GL(5,2) orbit, certified at run time, and a
+collineation carries the optimal partners of S1 onto those of its image
+with every plane's pattern kept, so the census is the histogram of one
+representative S1 times the number of type-X spreads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2geom import Subspace, subspace_distance
+from .gf2geom import Subspace, act_subspace, subspace_distance
 from .pg42 import N_LINES, tables
 from .spreads import (
     Spread,
@@ -34,9 +34,6 @@ from .spreads import (
     classify_all,
     dual_spread,
     holes,
-    all_spread_line_ids,
-    hole_points,
-    regulus_line_ids,
 )
 
 __all__ = [
@@ -211,7 +208,6 @@ class PatternCensus:
     pair_count: int = 0
     violations: list = field(default_factory=list)
     s1_count: int = 0
-    diagonal_pairs: int = 0
 
     @property
     def plane_count(self) -> int:
@@ -311,140 +307,99 @@ def doubling_search(
 # ---------------------------------------------------------------------------
 # exhaustive (X,X) census
 
+# Generators of GL(5,2); row i is the image of basis vector i + 1.
+_GENERATORS = (
+    # cyclic coordinate shift e_i -> e_{i+1}
+    ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, 0, 0, 0, 0)),
+    # transvection e1 -> e1 + e2
+    ((1, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),
+)
 
-class _XXContext:
-    """Shared read-only arrays for the exhaustive (X,X) pair census."""
-
-    def __init__(self, progress: bool = False):
-        t = tables()
-        arr = all_spread_line_ids()
-        bulk = classify_all(arr)
-        xi = np.flatnonzero(bulk.types == 0)
-        self.x_lines = arr[xi]  # (NX, 9) int16
-        self.nx = len(xi)
-        self.common = np.take_along_axis(
-            self.x_lines, bulk.common_pos[xi].astype(np.int64)[:, None], axis=1
-        )[:, 0]
-        self.reg_lines = regulus_line_ids(self.x_lines)  # (NX, 4, 3)
-        self.holes = hole_points(self.x_lines)  # (NX, 4), values 1..31
-        self.words = (self.nx + 63) // 64
-
-        # inverted index: bit s of inv[l] set iff type-X spread s contains line l
-        member = np.zeros((N_LINES, self.words * 64), dtype=np.uint8)
-        idx = np.arange(self.nx)
-        for c in range(9):
-            member[self.x_lines[:, c], idx] = 1
-        self.inv = np.packbits(member, axis=1, bitorder="little").view(np.uint64)
-        self.tail = np.zeros(self.words, dtype=np.uint64)
-        self.tail[: self.nx // 64] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        if self.nx % 64:
-            self.tail[self.nx // 64] = np.uint64((1 << (self.nx % 64)) - 1)
-
-        self.perp = t.perp
-        self.meets = t.line_meets_plane  # [plane(=dual line id), line]
-        self.pt_in_plane = t.point_in_plane  # [plane, point-1]
-
-    def partners(self, i: int) -> np.ndarray:
-        """Indices (into the X array) of optimal partners of X spread i."""
-        forbidden = np.flatnonzero(self.perp[self.x_lines[i]].any(axis=0))
-        bad = np.bitwise_or.reduce(self.inv[forbidden], axis=0)
-        good = ~bad & self.tail
-        bits = np.unpackbits(good.view(np.uint8), bitorder="little")[: self.nx]
-        return np.flatnonzero(bits)
-
-    def pattern_codes(self, i: int) -> np.ndarray:
-        """Encoded pattern of every plane (by dual-line ID) against X spread i.
-
-        Encoding: ((((c0*4+c1)*4+c2)*4+c3)*2 + meets_common)*5 + holes,
-        with c0 >= c1 >= c2 >= c3 the per-regulus meet counts.
-        """
-        cnt = (
-            self.meets[:, self.reg_lines[i].reshape(-1)]
-            .reshape(N_LINES, 4, 3)
-            .sum(axis=2)
-        )
-        cnt = np.sort(cnt, axis=1)[:, ::-1].astype(np.int64)
-        packed = ((cnt[:, 0] * 4 + cnt[:, 1]) * 4 + cnt[:, 2]) * 4 + cnt[:, 3]
-        meets = self.meets[:, self.common[i]].astype(np.int64)
-        hole_ct = self.pt_in_plane[:, self.holes[i] - 1].sum(axis=1).astype(np.int64)
-        return (packed * 2 + meets) * 5 + hole_ct
+# _BINOM[i, k] = C(i, k + 1): by the combinatorial number system, the sum
+# over an ascending row of 9 distinct line ids is a distinct int64 per row
+_BINOM = np.array(
+    [[math.comb(i, k + 1) for k in range(9)] for i in range(N_LINES)], dtype=np.int64
+)
 
 
-_CODE_BASE = 4**4 * 2 * 5  # pattern * meets * holes
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    return _BINOM[rows, np.arange(9)].sum(axis=1)
 
 
-def _decode(code: int):
-    ninth = bool(code & 1)
-    code >>= 1
-    holes = code % 5
-    code //= 5
-    meets = bool(code & 1)
-    code >>= 1
-    counts = (code >> 6 & 3, code >> 4 & 3, code >> 2 & 3, code & 3)
-    return counts, meets, holes, ninth
+def _line_permutation(m) -> np.ndarray:
+    """perm[i] is the line id of the image of line i under the matrix ``m``."""
+    t = tables()
+    return np.array([t.id_of(act_subspace(l, m)) for l in t.lines], dtype=np.int16)
 
 
-_CTX = None
+def _certify_orbit(rows: np.ndarray) -> None:
+    """Certify that the generators carry row 0 onto every row.
 
-
-def _get_ctx() -> _XXContext:
-    global _CTX
-    if _CTX is None:
-        _CTX = _XXContext()
-    return _CTX
-
-
-def _census_range(lo: int, hi: int):
-    ctx = _get_ctx()
-    hist = np.zeros(_CODE_BASE * 2, dtype=np.int64)
-    pairs = 0
-    diagonal = 0
-    for i in range(lo, hi):
-        partners = ctx.partners(i)
-        if partners.size == 0:
-            continue
-        pairs += partners.size
-        if partners.searchsorted(i) < partners.size and partners[
-            partners.searchsorted(i)
-        ] == i:
-            diagonal += 1
-        codes = ctx.pattern_codes(i)
-        plane_codes = codes[ctx.x_lines[partners]]  # (k, 9)
-        is_ninth = ctx.x_lines[partners] == ctx.common[partners][:, None]
-        full = plane_codes * 2 + is_ninth
-        hist += np.bincount(full.reshape(-1), minlength=_CODE_BASE * 2)
-    return hist, pairs, diagonal
-
-
-def exhaustive_xx_census(
-    jobs: int = 1, limit: Optional[int] = None, progress: bool = False
-) -> PatternCensus:
-    """Census over every ordered optimal (X,X) pair.
-
-    ``limit`` restricts the first spreads considered as S1 (for smoke
-    tests); the full run visits every type-X spread.  With ``jobs > 1``
-    the S1 range is split across forked workers and the histograms summed.
+    ``rows`` are distinct spreads as ascending line-id rows.  Each row's
+    image under each generator must be a row, and a breadth-first search
+    from row 0 must reach all rows; otherwise SpreadAnomaly.
     """
-    ctx = _get_ctx()
-    n = ctx.nx if limit is None else min(limit, ctx.nx)
-    if jobs <= 1:
-        hist, pairs, diagonal = _census_range(0, n)
-    else:
-        import multiprocessing as mp
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    images = []
+    for g in _GENERATORS:
+        img = _row_keys(np.sort(_line_permutation(g)[rows], axis=1))
+        pos = np.minimum(np.searchsorted(sorted_keys, img), len(rows) - 1)
+        outside = np.flatnonzero(sorted_keys[pos] != img)
+        if outside.size:
+            r = rows[outside[0]]
+            raise SpreadAnomaly(
+                f"a GL(5,2) generator maps spread {Spread.from_line_ids(r).id} "
+                f"(line ids {r.tolist()}) outside the {len(rows)} type-X spreads"
+            )
+        images.append(order[pos])
+    seen = np.zeros(len(rows), dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        step = np.concatenate([img[frontier] for img in images])
+        frontier = np.unique(step[~seen[step]])
+        seen[frontier] = True
+    orbit = int(seen.sum())
+    if orbit != len(rows):
+        raise SpreadAnomaly(
+            f"the orbit of type-X spread #0 has {orbit} members, "
+            f"but there are {len(rows)} type-X spreads"
+        )
 
-        step = (n + jobs - 1) // jobs
-        ranges = [(k, min(k + step, n)) for k in range(0, n, step)]
-        with mp.get_context("fork").Pool(jobs) as pool:
-            parts = pool.starmap(_census_range, ranges)
-        hist = sum(p[0] for p in parts)
-        pairs = sum(p[1] for p in parts)
-        diagonal = sum(p[2] for p in parts)
 
-    histogram = {}
-    for code in np.flatnonzero(hist):
-        histogram[_decode(int(code))] = int(hist[code])
-    census = PatternCensus(histogram, pair_count=pairs)
+def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
+    """Census over every ordered optimal (X,X) pair, by symmetry.
+
+    For g in GL(5,2), the map (S1, S2) -> (g S1, g^-T S2) sends optimal
+    (X,X) pairs to optimal (X,X) pairs: collineations keep spread types,
+    and g u . g^-T v = u . v keeps every line-in-dual-plane containment.
+    The dual plane of g^-T l is g applied to the dual plane of l, and g
+    carries the reguli, common line and holes of S1 to those of g S1, so
+    each plane keeps its counts, meets-common flag and hole count; g^-T
+    carries the common line of S2 to that of g^-T S2, so the ninth flag is
+    kept too.  So S2 -> g^-T S2 is a pattern-keeping bijection from the
+    partners of S1 (the type-X spreads with no line orthogonal to a line
+    of S1) onto those of g S1, and all S1 in one orbit have the same
+    histogram.  Once the type-X spreads are certified to be one orbit of
+    the generated group, the census of n first spreads is the histogram of
+    type-X spread #0 times n.
+
+    ``limit`` takes only the first ``limit`` type-X spreads as S1 (for
+    smoke tests); by default all of them.
+    """
+    bulk = classify_all()
+    x_rows = bulk.line_ids[bulk.types == 0]
+    _certify_orbit(x_rows)
+    n = len(x_rows) if limit is None else max(0, min(limit, len(x_rows)))
+    census = PatternCensus({}, s1_count=n)
+    if n:
+        forbidden = tables().perp[x_rows[0]].any(axis=0)
+        partners = x_rows[~forbidden[x_rows].any(axis=1)]
+        s1 = Spread.from_line_ids(x_rows[0])
+        one = pattern_census((s1, Spread.from_line_ids(r)) for r in partners)
+        census.histogram = {key: c * n for key, c in one.histogram.items()}
+        census.pair_count = one.pair_count * n
     census.violations = census.check()
-    census.diagonal_pairs = diagonal
-    census.s1_count = n
     return census

@@ -24,6 +24,8 @@ __all__ = [
     "meet",
     "join",
     "dual",
+    "act_vector",
+    "act_subspace",
     "subspace_distance",
     "enumerate_subspaces",
     "parse_point",
@@ -189,6 +191,23 @@ def dual(u: Subspace) -> Subspace:
     """Orthogonal complement under the standard dot product."""
     pts = [v for v in range(1, 1 << u.n) if all(dot(v, b) == 0 for b in u.basis)]
     return Subspace(pts, u.n)
+
+
+def act_vector(v: int, m) -> int:
+    """The row vector ``v`` times the 0/1 matrix ``m`` over GF(2).
+
+    Row ``i`` of ``m`` is the image of basis vector ``i + 1``.
+    """
+    out = 0
+    for i, row in enumerate(m):
+        if v >> i & 1:
+            out ^= sum(int(x) << j for j, x in enumerate(row))
+    return out
+
+
+def act_subspace(s: Subspace, m) -> Subspace:
+    """Image of a subspace under the invertible matrix ``m`` (row vectors)."""
+    return Subspace([act_vector(v, m) for v in s.basis], s.n)
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:

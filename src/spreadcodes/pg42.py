@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 
-from .gf2geom import Subspace, dot, dual, enumerate_subspaces, rref, span_mask
+from .gf2geom import Subspace, dot, dual, enumerate_subspaces, rref
 
 __all__ = ["Tables", "tables"]
 
@@ -32,7 +32,6 @@ class Tables:
 
         # dual planes: plane i is the orthogonal complement of line i
         self.planes = tuple(dual(l) for l in lines)
-        self.plane_mask = np.array([p.mask for p in self.planes], dtype=np.uint32)
         self.plane_mask_sorted = np.sort(
             np.array([p.mask for p in enumerate_subspaces(5, 3)], dtype=np.uint32)
         )
@@ -47,20 +46,16 @@ class Tables:
                     m |= 1 << j
             adj.append(m)
         self.adjacency = tuple(adj)
-        self.degree = adj[0].bit_count()
 
         # solids, indexed by dual point p-1
-        solid_mask = []
         line_in_solid = np.zeros((N_POINTS, N_LINES), dtype=bool)
         for p in range(1, 32):
             sm = 0
             for v in range(32):
                 if dot(v, p) == 0:
                     sm |= 1 << v
-            solid_mask.append(sm)
             for k in range(N_LINES):
                 line_in_solid[p - 1, k] = (lm[k] & ~sm) == 0
-        self.solid_mask = tuple(solid_mask)
         self.line_in_solid = line_in_solid
 
         # join_solid[i,j]: for disjoint lines i,j the solid they span,
@@ -77,10 +72,8 @@ class Tables:
                             break
         self.join_solid = join_solid
 
-        # line-vs-dual-plane and line-vs-line orthogonality incidences
-        pm = self.plane_mask.astype(np.int64)
-        lmask64 = self.line_mask.astype(np.int64)
-        self.line_meets_plane = (pm[:, None] & lmask64[None, :] & ~1) != 0
+        # perp[i, j]: lines i and j are orthogonal, i.e. line i lies in
+        # the dual plane of line j
         perp = np.zeros((N_LINES, N_LINES), dtype=bool)
         for i in range(N_LINES):
             bi = lines[i].basis
@@ -88,24 +81,6 @@ class Tables:
                 bj = lines[j].basis
                 perp[i, j] = all(dot(x, y) == 0 for x in bi for y in bj)
         self.perp = perp
-
-        point_in_plane = np.zeros((N_LINES, N_POINTS), dtype=bool)
-        for i in range(N_LINES):
-            m = self.planes[i].mask
-            for v in range(1, 32):
-                point_in_plane[i, v - 1] = bool(m >> v & 1)
-        self.point_in_plane = point_in_plane
-
-        # plane spanned by line i and off-line point v, as a point mask
-        span_with_point = np.zeros((N_LINES, 32), dtype=np.uint32)
-        for i in range(N_LINES):
-            for v in range(1, 32):
-                if not lm[i] >> v & 1:
-                    span_with_point[i, v] = span_mask(rref(lines[i].basis + (v,)))
-        self.plane_span_with_point = span_with_point
-
-    def line(self, i: int) -> Subspace:
-        return self.lines[i]
 
     def id_of(self, line: Subspace) -> int:
         return self.line_id[line.basis]

@@ -18,6 +18,7 @@ vectorized bulk pipeline (numpy) over the full exhaustive enumeration.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -370,22 +371,16 @@ def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -
 # ---------------------------------------------------------------------------
 # bulk pipeline over the exhaustive enumeration
 
-_BULK_CACHE = {}
-
-
-def all_spread_line_ids(progress: bool = False) -> np.ndarray:
+@functools.cache
+def all_spread_line_ids() -> np.ndarray:
     """Line-ID array of every size-9 spread, shape (M, 9), lexicographic.
 
     Cached in memory after the first call (the enumeration takes about a
     minute).
     """
-    arr = _BULK_CACHE.get("arr")
-    if arr is None:
-        adj = tables().adjacency
-        rows = list(_clique_extend(adj, [], (1 << N_LINES) - 1))
-        arr = np.array(rows, dtype=np.int16)
-        _BULK_CACHE["arr"] = arr
-    return arr
+    adj = tables().adjacency
+    rows = list(_clique_extend(adj, [], (1 << N_LINES) - 1))
+    return np.array(rows, dtype=np.int16)
 
 
 @dataclass
@@ -412,11 +407,12 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
 
     Mirrors :func:`classify` but vectorized: a triple (i,j,k) is a regulus
     iff line k lies in the solid spanned by lines i and j, which is a pair
-    of table lookups.
+    of table lookups.  Without ``arr`` it classifies the full enumeration,
+    once per process.
     """
-    t = tables()
     if arr is None:
-        arr = all_spread_line_ids()
+        return _classify_enumeration()
+    t = tables()
     m = len(arr)
     counts = np.zeros((m, 9), dtype=np.int8)
     n_reguli = np.zeros(m, dtype=np.int8)
@@ -457,30 +453,6 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     return BulkClassification(arr, n_reguli, counts, types, common_pos)
 
 
-def regulus_line_ids(arr: np.ndarray) -> np.ndarray:
-    """Per spread, the 4 regulus triples as line IDs: shape (M, 4, 3)."""
-    t = tables()
-    m = len(arr)
-    is_reg = np.zeros((m, len(_TRIPLES)), dtype=bool)
-    for ti, (i, j, k) in enumerate(_TRIPLES):
-        is_reg[:, ti] = t.line_in_solid[t.join_solid[arr[:, i], arr[:, j]], arr[:, k]]
-    if not (is_reg.sum(axis=1) == 4).all():
-        raise SpreadAnomaly("a spread without exactly 4 reguli")
-    tri_ids = np.nonzero(is_reg)[1].reshape(m, 4)
-    pos = np.array(_TRIPLES, dtype=np.int8)[tri_ids]  # (M, 4, 3) positions
-    return np.take_along_axis(
-        arr[:, None, :].repeat(4, axis=1), pos.astype(np.int64), axis=2
-    )
-
-
-def hole_points(arr: np.ndarray) -> np.ndarray:
-    """Per spread, the 4 hole points (values 1..31), shape (M, 4)."""
-    t = tables()
-    cover = np.zeros(len(arr), dtype=np.uint32)
-    for c in range(9):
-        cover |= t.line_mask[arr[:, c]]
-    free = (~cover[:, None] >> np.arange(1, 32, dtype=np.uint32)) & 1
-    rows, cols = np.nonzero(free)
-    if not (np.bincount(rows, minlength=len(arr)) == 4).all():
-        raise SpreadAnomaly("a spread without exactly 4 holes")
-    return (cols.reshape(-1, 4) + 1).astype(np.int8)
+@functools.cache
+def _classify_enumeration() -> BulkClassification:
+    return classify_all(all_spread_line_ids())

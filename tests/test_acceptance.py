@@ -126,9 +126,7 @@ def test_criterion_3_exhaustive_spread_structure(bulk, capfd):
 
 @pytest.mark.slow
 def test_criterion_4_exhaustive_pattern_census(capfd):
-    import os
-
-    census = exhaustive_xx_census(jobs=os.cpu_count() or 1)
+    census = exhaustive_xx_census()
     ok = census.pair_count == FROZEN_PAIR_COUNT
     ok = ok and census.violations == []
     ok = ok and census.eliminated_pattern_count == 0

@@ -4,7 +4,10 @@ import json
 import pytest
 
 from spreadcodes import cli, corpus
+from spreadcodes.constructions import cps_build
+from spreadcodes.doubling import validate_doubling
 from spreadcodes.spreadfile import format_spreads
+from spreadcodes.spreads import classify
 
 
 @pytest.fixture()
@@ -143,6 +146,29 @@ class TestCensus:
         assert summary["violations"] == []
         assert summary["planes"] == 9 * summary["pairs"]
         assert out.read_text().startswith("pattern,")
+
+    def test_needs_db_or_exhaustive(self):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["census"])
+        assert ei.value.code == 1
+
+    def test_db_census_counts_only_xx_pairs(self, tmp_path, capsys):
+        # an optimal (X,E) pair from the CPS construction beside an (X,X) pair
+        code, _ = next(cps_build(variant="basic", limit=1))
+        spreads = list(corpus.pair(1)) + [code.s1, code.s2]
+        tags = [classify(s).tag for s in spreads]
+        optimal = [
+            (tags[i], tags[j])
+            for i, a in enumerate(spreads)
+            for j, b in enumerate(spreads)
+            if validate_doubling(a, b).optimal
+        ]
+        assert any(t != ("X", "X") for t in optimal)
+        db = tmp_path / "mixed.txt"
+        db.write_text(format_spreads(spreads))
+        assert cli.main(["census", "--db", str(db)]) == 0
+        text = capsys.readouterr().out
+        assert f"pairs: {optimal.count(('X', 'X'))}\n" in text
 
 
 class TestConstructionCommands:

@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
+import random
 
+import numpy as np
 import pytest
 
+from spreadcodes import cli, doubling
 from spreadcodes.doubling import (
     ALLOWED_PATTERNS,
     ELIMINATED_PATTERN,
@@ -16,8 +20,9 @@ from spreadcodes.doubling import (
     pattern_census,
     validate_doubling,
 )
-from spreadcodes.gf2geom import subspace_distance
-from spreadcodes.spreads import SpreadAnomaly, classify, dual_spread, holes
+from spreadcodes.gf2geom import dual, enumerate_subspaces, subspace_distance
+from spreadcodes.pg42 import tables
+from spreadcodes.spreads import Spread, SpreadAnomaly, classify, dual_spread, holes
 
 
 class TestValidation:
@@ -175,6 +180,27 @@ class TestCensusStreaming:
             assert classify(code.s2).tag == "X"
 
 
+class TestGL52Generators:
+    def test_each_is_a_disjointness_preserving_line_bijection(self):
+        lines = tables().lines
+        for g in doubling._GENERATORS:
+            perm = doubling._line_permutation(g)
+            assert sorted(perm.tolist()) == list(range(155))
+            for i, j in itertools.combinations(range(155), 2):
+                a, b = lines[perm[i]], lines[perm[j]]
+                assert ((a.mask & b.mask) == 1) == (
+                    (lines[i].mask & lines[j].mask) == 1
+                )
+
+    def test_each_maps_reference_spreads_to_type_x(self, reference_pairs):
+        for g in doubling._GENERATORS:
+            perm = doubling._line_permutation(g)
+            for pair in reference_pairs:
+                for s in pair:
+                    image = Spread.from_line_ids(perm[list(s.line_ids)])
+                    assert classify(image).tag == "X"
+
+
 @pytest.mark.slow
 class TestExhaustiveCensus:
     def test_limited_run_is_clean(self):
@@ -184,32 +210,37 @@ class TestExhaustiveCensus:
         assert census.violations == []
         assert census.plane_count == 9 * census.pair_count
 
-    def test_vectorized_codes_match_object_level(self):
-        # cross-check the encoded per-plane patterns against the
-        # object-level intersection_pattern on sampled partners
-        import numpy as np
+    def test_sampled_s1_have_the_representative_histogram(self, bulk):
+        # oracle for the orbit argument and the perp partner lookup: the
+        # partners of two sampled S1 found by containment in the dual
+        # planes' point masks, censused object-level
+        x_rows = bulk.line_ids[bulk.types == 0]
+        dual_masks = [dual(l).mask for l in enumerate_subspaces(5, 2)]
+        want = exhaustive_xx_census(limit=1).histogram
+        for r in random.Random(7).sample(range(1, len(x_rows)), 2):
+            s1 = Spread.from_line_ids(x_rows[r])
+            forbidden = np.array(
+                [any(l.mask & ~m == 0 for l in s1.lines) for m in dual_masks]
+            )
+            partners = x_rows[~forbidden[x_rows].any(axis=1)]
+            got = pattern_census((s1, Spread.from_line_ids(row)) for row in partners)
+            assert got.pair_count == len(partners) > 0
+            assert got.histogram == want
 
-        from spreadcodes.doubling import _decode, _get_ctx
-        from spreadcodes.spreads import Spread
-
-        ctx = _get_ctx()
-        codes = ctx.pattern_codes(0)
-        js = ctx.partners(0)[:15]
-        assert js.size > 0
-        s1 = Spread.from_line_ids(ctx.x_lines[0])
-        t1 = classify(s1)
-        for j in js:
-            s2 = Spread.from_line_ids(ctx.x_lines[j])
-            t2 = classify(s2)
-            assert validate_doubling(s1, s2).optimal
-            for pos, plane in enumerate(dual_spread(s2)):
-                lid = int(ctx.x_lines[j][pos])
-                ninth_bit = int(lid == ctx.common[j])
-                counts, meets, nholes, ninth = _decode(
-                    int(codes[lid]) * 2 + ninth_bit
-                )
-                pat = intersection_pattern(plane, s1, t1)
-                assert counts == pat.counts
-                assert meets == pat.meets_common
-                assert nholes == pat.hole_count
-                assert ninth == (pos == t2.distinguished)
+    def test_certificate_rejects_rows_that_are_not_one_orbit(
+        self, bulk, monkeypatch, capsys
+    ):
+        # the X rows minus one: some generator image is missing; the X and
+        # E rows together: closed under the generators, but two orbits
+        x = np.flatnonzero(bulk.types == 0)
+        one_short = bulk.types.copy()
+        one_short[x[12345]] = 1
+        with_e = bulk.types.copy()
+        with_e[with_e == 1] = 0
+        for types, match in ((one_short, "outside"), (with_e, "orbit")):
+            fake = dataclasses.replace(bulk, types=types)
+            monkeypatch.setattr(doubling, "classify_all", lambda: fake)
+            with pytest.raises(SpreadAnomaly, match=match):
+                exhaustive_xx_census(limit=1)
+            assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
+            assert "invariant violation" in capsys.readouterr().err
