@@ -197,14 +197,20 @@ def _pair_report(s1: Spread, s2: Spread):
 def cmd_doubling(args):
     if args.search_db:
         db = load_spread_file(args.search_db)
-        flt = tuple(args.filter) if args.filter else ("X", "X")
         out = []
-        for code in doubling_search(db, flt, limit=args.limit):
+        for code in doubling_search(db, tuple(args.filter), limit=args.limit):
             out.append(_pair_report(code.s1, code.s2))
         _emit(args, json.dumps(out, indent=2) + "\n")
         return 0
     s1s = load_spread_file(args.file1)
     s2s = load_spread_file(args.file2)
+    if len(s1s) != len(s2s):
+        print(
+            f"error: {args.file1} holds {len(s1s)} spreads but {args.file2} "
+            f"holds {len(s2s)}; pairs need equal counts",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
     reports = [
         _pair_report(s1, s2)
         for s1, s2 in zip(s1s, s2s)
@@ -393,8 +399,10 @@ def build_parser() -> _Parser:
     sp.add_argument("file1", nargs="?")
     sp.add_argument("file2", nargs="?")
     sp.add_argument("--search-db", help="spread file to search for optimal pairs")
-    sp.add_argument("--filter", default="XX",
-                    help="type pair filter for search, e.g. XX")
+    sp.add_argument("--filter", nargs=2, choices=("X", "E", "IDelta"),
+                    default=["X", "X"], metavar="TYPE",
+                    help="spread types of S1 and S2 for --search-db "
+                         "(X, E or IDelta; default X X)")
     common(sp)
     sp.set_defaults(func=cmd_doubling)
 
@@ -429,6 +437,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.limit is not None and args.limit < 0:
+        parser.error(f"--limit must not be negative: {args.limit}")
     if args.cmd == "doubling" and not args.search_db and not (
         args.file1 and args.file2
     ):

@@ -226,6 +226,9 @@ def hkk_configs(
     for p in range(1, 64):
         if sm >> p & 1:
             continue
+        # planes through p (spanned by p and two other points); they do
+        # not depend on h
+        es_all = [e for e in _planes_through_pairs(p) if _far_from(e, cw)]
         for h in enumerate_subspaces(6, 5):
             hm = h.mask
             if (sm & ~hm) == 0 or hm >> p & 1:
@@ -236,17 +239,7 @@ def hkk_configs(
                 for ep in _planes_through_line(tuple(l2), hm)
                 if _far_from(ep, cw)
             ]
-            if not e_primes:
-                continue
-            es_all = None
             for ep in e_primes:
-                if es_all is None:
-                    # planes through p (spanned by p and two other points)
-                    es_all = [
-                        e
-                        for e in _planes_through_pairs(p)
-                        if _far_from(e, cw)
-                    ]
                 found_any = False
                 for e in es_all:
                     if subspace_distance(e, ep) >= 4:

@@ -188,9 +188,27 @@ def join(u: Subspace, v: Subspace) -> Subspace:
 
 
 def dual(u: Subspace) -> Subspace:
-    """Orthogonal complement under the standard dot product."""
-    pts = [v for v in range(1, 1 << u.n) if all(dot(v, b) == 0 for b in u.basis)]
-    return Subspace(pts, u.n)
+    """Orthogonal complement under the standard dot product.
+
+    Read off the RREF basis: each pivot occurs in exactly one row, so for a
+    non-pivot coordinate c the vector e_c plus the pivots of the rows with
+    bit c set is orthogonal to every row.  These n - dim vectors are
+    independent (each has its own non-pivot coordinate) and span the
+    complement.
+    """
+    pivots = 0
+    for b in u.basis:
+        pivots |= b & -b
+    gens = []
+    for c in range(u.n):
+        bit = 1 << c
+        if not pivots & bit:
+            v = bit
+            for b in u.basis:
+                if b & bit:
+                    v |= b & -b
+            gens.append(v)
+    return Subspace(gens, u.n)
 
 
 def act_vector(v: int, m) -> int:

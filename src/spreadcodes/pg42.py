@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 
-from .gf2geom import Subspace, dot, dual, enumerate_subspaces, rref
+from .gf2geom import Subspace, dot, dual, enumerate_subspaces
 
 __all__ = ["Tables", "tables"]
 
@@ -59,27 +59,24 @@ class Tables:
         self.line_in_solid = line_in_solid
 
         # join_solid[i,j]: for disjoint lines i,j the solid they span,
-        # as the index of its dual point; -1 when the lines meet
+        # as the index of its dual point; -1 when the lines meet.  The
+        # dual point spans l_i^⊥ ∩ l_j^⊥, so the meet of the two dual
+        # planes' masks is {0, p} and p - 1 is its bit length minus 2.
+        pm = [p.mask for p in self.planes]
         join_solid = np.full((N_LINES, N_LINES), -1, dtype=np.int16)
         for i in range(N_LINES):
             ai = adj[i]
             for j in range(N_LINES):
                 if ai >> j & 1:
-                    jb = rref(lines[i].basis + lines[j].basis)
-                    for p in range(1, 32):
-                        if all(dot(v, p) == 0 for v in jb):
-                            join_solid[i, j] = p - 1
-                            break
+                    join_solid[i, j] = (pm[i] & pm[j]).bit_length() - 2
         self.join_solid = join_solid
 
         # perp[i, j]: lines i and j are orthogonal, i.e. line i lies in
         # the dual plane of line j
         perp = np.zeros((N_LINES, N_LINES), dtype=bool)
         for i in range(N_LINES):
-            bi = lines[i].basis
             for j in range(N_LINES):
-                bj = lines[j].basis
-                perp[i, j] = all(dot(x, y) == 0 for x in bi for y in bj)
+                perp[i, j] = (lm[i] & ~pm[j]) == 0
         self.perp = perp
 
     def id_of(self, line: Subspace) -> int:
@@ -91,7 +88,7 @@ _tables = None
 
 
 def tables() -> Tables:
-    """The shared table singleton, built on first use (~2 s)."""
+    """The shared table singleton, built on first use (about 0.03 s)."""
     global _tables
     if _tables is None:
         with _lock:

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gf2geom import Subspace, dual, join, rref
+from .gf2geom import Subspace, dual, rref
 from .pg42 import N_LINES, tables
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
 
 _TRIPLES = tuple(itertools.combinations(range(9), 3))
 _TRIPLE_ID = {t: i for i, t in enumerate(_TRIPLES)}
+_TRIPLE_I, _TRIPLE_J, _TRIPLE_K = np.array(_TRIPLES).T
 
 
 class SpreadError(ValueError):
@@ -154,16 +155,24 @@ def is_regulus(l1: Subspace, l2: Subspace, l3: Subspace) -> bool:
     return len(rref(l1.basis + l2.basis + l3.basis)) == 4
 
 
+def _is_regulus_ids(a, b, c):
+    """Elementwise: do disjoint lines with ids a, b, c form a regulus?
+
+    The third line lies in the solid the first two span; two table lookups
+    that work on numpy arrays of ids alike.
+    """
+    t = tables()
+    return t.line_in_solid[t.join_solid[a, b], c]
+
+
 def reguli(s: Spread) -> tuple:
     """All regulus triples of the spread, as sorted index triples.
 
     Every size-9 spread has exactly 4; anything else raises SpreadAnomaly.
     """
-    out = tuple(
-        t
-        for t in _TRIPLES
-        if len(rref(sum((s.lines[i].basis for i in t), ()))) == 4
-    )
+    ids = np.array(s.line_ids)
+    hits = _is_regulus_ids(ids[_TRIPLE_I], ids[_TRIPLE_J], ids[_TRIPLE_K])
+    out = tuple(_TRIPLES[k] for k in np.flatnonzero(hits))
     if len(out) != 4:
         raise SpreadAnomaly(f"spread has {len(out)} reguli, expected 4")
     return out
@@ -406,19 +415,18 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     """Classify a (M, 9) array of spreads at once.
 
     Mirrors :func:`classify` but vectorized: a triple (i,j,k) is a regulus
-    iff line k lies in the solid spanned by lines i and j, which is a pair
-    of table lookups.  Without ``arr`` it classifies the full enumeration,
-    once per process.
+    iff line k lies in the solid spanned by lines i and j, the table lookup
+    that :func:`reguli` makes too.  Without ``arr`` it classifies the full
+    enumeration, once per process.
     """
     if arr is None:
         return _classify_enumeration()
-    t = tables()
     m = len(arr)
     counts = np.zeros((m, 9), dtype=np.int8)
     n_reguli = np.zeros(m, dtype=np.int8)
     # remember per-spread which count-2 triple to re-test for type E
     for i, j, k in _TRIPLES:
-        r = t.line_in_solid[t.join_solid[arr[:, i], arr[:, j]], arr[:, k]]
+        r = _is_regulus_ids(arr[:, i], arr[:, j], arr[:, k])
         n_reguli += r
         counts[:, i] += r
         counts[:, j] += r
@@ -446,9 +454,7 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
         for tid in np.unique(tids):
             i, j, k = _TRIPLES[tid]
             sel = rest[tids == tid]
-            is_e[tids == tid] = t.line_in_solid[
-                t.join_solid[arr[sel, i], arr[sel, j]], arr[sel, k]
-            ]
+            is_e[tids == tid] = _is_regulus_ids(arr[sel, i], arr[sel, j], arr[sel, k])
         types[rest[is_e]] = 1
     return BulkClassification(arr, n_reguli, counts, types, common_pos)
 

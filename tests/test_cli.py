@@ -28,6 +28,26 @@ def db_file(tmp_path):
     return p
 
 
+@pytest.fixture()
+def mixed_db(tmp_path):
+    """Corpus pair 1 beside an optimal (X,E) CPS pair.
+
+    Returns the file and the type pairs of its optimal ordered pairs.
+    """
+    code, _ = next(cps_build(variant="basic", limit=1))
+    spreads = list(corpus.pair(1)) + [code.s1, code.s2]
+    tags = [classify(s).tag for s in spreads]
+    optimal = [
+        (tags[i], tags[j])
+        for i, a in enumerate(spreads)
+        for j, b in enumerate(spreads)
+        if validate_doubling(a, b).optimal
+    ]
+    db = tmp_path / "mixed.txt"
+    db.write_text(format_spreads(spreads))
+    return db, optimal
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         with pytest.raises(SystemExit) as ei:
@@ -74,6 +94,12 @@ class TestEnumerate:
         out = capsys.readouterr().out
         assert "total: 155" in out
         assert len(out.strip().splitlines()) == 5  # header + 3 rows + total
+
+    def test_negative_limit_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["enumerate", "lines", "--limit", "-3"])
+        assert ei.value.code == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestAtomicOutput:
@@ -134,6 +160,35 @@ class TestDoubling:
         assert len(recs) == 2
         assert all(r["optimal"] for r in recs)
 
+    def test_search_db_negative_limit_is_usage_error(self, db_file, capsys):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["doubling", "--search-db", str(db_file), "--limit", "-3"])
+        assert ei.value.code == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("tags", [["ZZ"], ["XX"], ["X"], ["X", "Z"]])
+    def test_filter_rejects_other_than_two_type_tags(self, db_file, tags, capsys):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["doubling", "--search-db", str(db_file), "--filter", *tags])
+        assert ei.value.code == 1
+        assert capsys.readouterr().out == ""
+
+    def test_filter_selects_the_type_pair(self, mixed_db, capsys):
+        db, optimal = mixed_db
+        assert optimal.count(("X", "E")) >= 1
+        for pair in (("X", "E"), ("X", "X"), ("IDelta", "IDelta")):
+            assert cli.main(["doubling", "--search-db", str(db), "--filter", *pair]) == 0
+            recs = json.loads(capsys.readouterr().out)
+            assert len(recs) == optimal.count(pair)
+            assert all(r["optimal"] and r["types"] == list(pair) for r in recs)
+
+    def test_unequal_pair_files_are_usage_error(self, pair_file, db_file, capsys):
+        p1, _ = pair_file
+        assert cli.main(["doubling", str(p1), str(db_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "holds 1 spreads" in captured.err and "holds 4" in captured.err
+
 
 class TestCensus:
     def test_db_census(self, db_file, tmp_path, capsys):
@@ -152,20 +207,9 @@ class TestCensus:
             cli.main(["census"])
         assert ei.value.code == 1
 
-    def test_db_census_counts_only_xx_pairs(self, tmp_path, capsys):
-        # an optimal (X,E) pair from the CPS construction beside an (X,X) pair
-        code, _ = next(cps_build(variant="basic", limit=1))
-        spreads = list(corpus.pair(1)) + [code.s1, code.s2]
-        tags = [classify(s).tag for s in spreads]
-        optimal = [
-            (tags[i], tags[j])
-            for i, a in enumerate(spreads)
-            for j, b in enumerate(spreads)
-            if validate_doubling(a, b).optimal
-        ]
+    def test_db_census_counts_only_xx_pairs(self, mixed_db, capsys):
+        db, optimal = mixed_db
         assert any(t != ("X", "X") for t in optimal)
-        db = tmp_path / "mixed.txt"
-        db.write_text(format_spreads(spreads))
         assert cli.main(["census", "--db", str(db)]) == 0
         text = capsys.readouterr().out
         assert f"pairs: {optimal.count(('X', 'X'))}\n" in text

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spreadcodes.gf2geom import (
     Subspace,
+    dot,
     dual,
     enumerate_subspaces,
     format_point,
@@ -24,6 +26,21 @@ def random_subspace(rng, n, k=None):
     if k is None:
         k = rng.randint(0, n)
     return Subspace([rng.randrange(1, 1 << n) for _ in range(k)], n)
+
+
+def brute_force_dual(u):
+    """Oracle for ``dual``: scan all 2^n vectors for those orthogonal to u."""
+    pts = [v for v in range(1, 1 << u.n) if all(dot(v, b) == 0 for b in u.basis)]
+    return Subspace(pts, u.n)
+
+
+@st.composite
+def subspaces(draw, count=1, max_n=12):
+    """``count`` random subspaces of one GF(2)^n, 1 <= n <= max_n."""
+    n = draw(st.integers(1, max_n))
+    vectors = st.lists(st.integers(0, (1 << n) - 1), max_size=n)
+    out = tuple(Subspace(draw(vectors), n) for _ in range(count))
+    return out if count > 1 else out[0]
 
 
 class TestPointNotation:
@@ -114,6 +131,18 @@ class TestLatticeOps:
             assert meet(u, v).dim in (1, 2)
 
 
+class TestLatticeLaws:
+    @given(subspaces(count=3))
+    def test_modularity_duality_and_metric(self, uvw):
+        u, v, w = uvw
+        assert meet(u, v).dim + join(u, v).dim == u.dim + v.dim
+        assert dual(meet(u, v)) == join(dual(u), dual(v))
+        d = subspace_distance
+        assert d(u, v) == d(v, u) == d(dual(u), dual(v))
+        assert (d(u, v) == 0) == (u == v)
+        assert d(u, w) <= d(u, v) + d(v, w)
+
+
 class TestDuality:
     def test_dual_examples(self):
         assert dual(Subspace(range(1, 32), 5)).dim == 0
@@ -126,6 +155,20 @@ class TestDuality:
             u = random_subspace(rng, rng.choice((5, 6)))
             assert dual(dual(u)) == u
             assert dual(u).dim == u.n - u.dim
+
+    def test_matches_brute_force_oracle_ambient_1_to_6(self):
+        checked = 0
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for u in enumerate_subspaces(n, k):
+                    assert dual(u) == brute_force_dual(u), u
+                    checked += 1
+        assert checked == 3289
+
+    @given(subspaces())
+    def test_matches_brute_force_oracle_random(self, u):
+        assert dual(u) == brute_force_dual(u)
+        assert dual(dual(u)) == u
 
     def test_anti_isomorphism_line_pairs(self):
         lines = enumerate_subspaces(5, 2)

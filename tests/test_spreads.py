@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spreadcodes.gf2geom import Subspace, join, parse_point, span
+from spreadcodes.gf2geom import Subspace, join, parse_point, rref, span
 from spreadcodes.pg42 import tables
 from spreadcodes.spreads import (
     Spread,
@@ -23,6 +23,15 @@ from spreadcodes.spreads import (
 
 def _line(*toks):
     return span([parse_point(t) for t in toks], 5)
+
+
+def rank_four_reguli(s):
+    """Oracle for ``reguli``: the index triples whose lines span a solid."""
+    return tuple(
+        t
+        for t in itertools.combinations(range(9), 3)
+        if len(rref(sum((s.lines[i].basis for i in t), ()))) == 4
+    )
 
 
 class TestSpreadBasics:
@@ -104,6 +113,15 @@ class TestReguli:
         assert reguli(s1) == ((0, 2, 8), (1, 3, 8), (4, 6, 8), (5, 7, 8))
         s1_5, _ = reference_pairs[4]
         assert reguli(s1_5) == ((0, 6, 8), (1, 7, 8), (2, 4, 8), (3, 5, 8))
+
+    def test_table_lookup_matches_rank_oracle(self, reference_pairs):
+        spreads = [s for pair in reference_pairs for s in pair]
+        spreads += find_maximal_spreads(mode="sample", count=200, rng_seed=4)
+        tags = set()
+        for s in spreads:
+            assert reguli(s) == rank_four_reguli(s)
+            tags.add(classify(s).tag)
+        assert tags == {"X", "E", "IDelta"}
 
     def test_opposite_regulus(self, reference_pairs):
         s1, _ = reference_pairs[0]
