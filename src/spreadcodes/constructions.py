@@ -25,7 +25,6 @@ from .doubling import DoublingCode, intersection_pattern, validate_doubling
 from .gf2geom import (
     Subspace,
     act_subspace,
-    dual,
     enumerate_subspaces,
     join,
     rref,
@@ -528,6 +527,15 @@ def _completing_reguli(l1_lines, all_lines):
             yield t
 
 
+def _meet_in_points(planes) -> bool:
+    """Do planes 7-9 meet every earlier plane in one point?  With 1-6 a good
+    plane orbit, that holds iff the 9 dual lines are pairwise disjoint."""
+    return all(
+        (planes[k].mask & planes[j].mask).bit_count() == 2
+        for k in range(6, 9) for j in range(k)
+    )
+
+
 def cps_build(
     variant: str = "basic",
     limit: Optional[int] = None,
@@ -597,10 +605,9 @@ def cps_build(
                                     choices.append((k, tuple(ps)))
                     for replaced, pset in choices:
                         planes = tuple(p1) + pset
-                        try:
-                            s2 = spread_from_planes(planes)
-                        except SpreadError:
+                        if not _meet_in_points(planes):
                             continue
+                        s2 = spread_from_planes(planes)
                         if not validate_doubling(s1, s2).optimal:
                             continue
                         cfg = CPSConfig(
@@ -620,6 +627,6 @@ def cps_build(
 
 
 def cps_regulus_check(code: DoublingCode) -> bool:
-    """Do the duals of the 3 non-orbit planes (stored last) form a regulus?"""
-    duals = [dual(p) for p in code.planes[6:]]
-    return is_regulus(*duals)
+    """Do the duals of the 3 non-orbit planes (stored last), that is the
+    last 3 lines of ``code.s2``, form a regulus?"""
+    return is_regulus(*code.s2.lines[6:])

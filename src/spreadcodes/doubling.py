@@ -127,13 +127,14 @@ def validate_doubling(s1: Spread, s2: Spread) -> Verdict:
 
     Containment is the only way a codeword pair of S1 ∪ (S2)^⊥ can fall
     below distance 3, so this check is equivalent to the full pairwise
-    distance sweep (which `min_distance` performs independently).
+    distance sweep (which `min_distance` performs independently).  The
+    dual planes of s2 and their masks are read from the PG(4,2) tables.
     """
-    planes = dual_spread(s2)
+    pms = [p.mask for p in dual_spread(s2)]
     for i, l in enumerate(s1.lines):
         lm = l.mask
-        for j, p in enumerate(planes):
-            if (lm & ~p.mask) == 0:
+        for j, pm in enumerate(pms):
+            if (lm & ~pm) == 0:
                 return Verdict(False, (i, j))
     return Verdict(True)
 
@@ -256,8 +257,11 @@ def pattern_census(
     """Pattern census over an explicit stream of validated optimal pairs."""
     hist = {}
     census = PatternCensus(hist)
+    last = None
     for s1, s2 in pairs:
-        t1, t2 = classify(s1), classify(s2)
+        if s1 is not last:  # a census streams many pairs with one S1
+            last, t1 = s1, classify(s1)
+        t2 = classify(s2)
         if (t1.tag, t2.tag) != type_filter:
             raise ValueError(
                 f"pair of types ({t1.tag},{t2.tag}) does not match {type_filter}"

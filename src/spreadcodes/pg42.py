@@ -4,6 +4,7 @@ Everything here is derived once from the canonical line enumeration and
 shared read-only by the search and census code.  Line IDs are indices into
 ``enumerate_subspaces(5, 2)``; a plane is indexed by the ID of its dual
 line, and a solid by the ID of its dual point (point value minus one).
+The duals of lines and of planes are read from ``planes`` and ``plane_id``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ N_LINES = 155
 
 
 class Tables:
-    """Incidence tables for the lines/planes/solids of PG(4,2)."""
+    """Incidence tables for the lines/planes/solids of PG(4,2); ``planes[i]``
+    is the dual of line i and ``plane_id`` maps each plane back to i."""
 
     def __init__(self):
         lines = enumerate_subspaces(5, 2)
@@ -32,6 +34,7 @@ class Tables:
 
         # dual planes: plane i is the orthogonal complement of line i
         self.planes = tuple(dual(l) for l in lines)
+        self.plane_id = {p: i for i, p in enumerate(self.planes)}
         self.plane_mask_sorted = np.sort(
             np.array([p.mask for p in enumerate_subspaces(5, 3)], dtype=np.uint32)
         )

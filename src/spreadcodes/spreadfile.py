@@ -97,8 +97,15 @@ def parse_spread_text(text: str) -> List[Spread]:
 
 
 def load_spread_file(path) -> List[Spread]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_spread_text(fh.read())
+    """Parse an ASCII spread file; a non-ASCII byte is a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}", line) from None
+    return parse_spread_text(text)
 
 
 def format_spread(s: Spread) -> str:

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gf2geom import Subspace, dual, rref
+from .gf2geom import Subspace, rref
 from .pg42 import N_LINES, tables
 
 __all__ = [
@@ -236,13 +236,18 @@ def opposite_regulus(lines3: Sequence[Subspace]) -> tuple:
 
 
 def dual_spread(s: Spread) -> tuple:
-    """Element-wise dual planes of the spread's lines (same order)."""
-    return tuple(dual(l) for l in s.lines)
+    """Dual planes of the spread's lines (same order), from ``tables().planes``."""
+    planes = tables().planes
+    return tuple(planes[i] for i in s.line_ids)
 
 
 def spread_from_planes(planes: Sequence[Subspace]) -> Spread:
-    """The spread whose lines are the duals of the given 9 planes."""
-    return Spread([dual(p) for p in planes])
+    """The spread whose lines are the duals of the given 9 planes, looked up
+    in ``tables().plane_id``; SpreadError if one is not a plane of PG(4,2)."""
+    ids = list(map(tables().plane_id.get, planes))
+    if None in ids:
+        raise SpreadError(f"not a plane of PG(4,2): {planes[ids.index(None)]!r}")
+    return Spread.from_line_ids(ids)
 
 
 def disjointness_graph() -> tuple:

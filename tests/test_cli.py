@@ -65,6 +65,15 @@ class TestExitCodes:
         assert cli.main(["classify", str(bad)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["classify"], ["doubling", "--search-db"], ["census", "--db"]]
+    )
+    def test_non_ascii_file_is_parse_error_2(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"{1,2,12}\xc3\xa9\n")
+        assert cli.main(argv + [str(bad)]) == 2
+        assert "parse error: line 1: non-ASCII byte 0xc3" in capsys.readouterr().err
+
     def test_invariant_violation_is_3(self, monkeypatch, capsys):
         wrong = dict(corpus.EXPECTED)
         wrong[1] = dict(wrong[1], ninth_pattern=(3, 3, 3, 1))

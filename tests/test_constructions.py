@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from spreadcodes import constructions
 from spreadcodes.constructions import (
     HKK_NINTH_PATTERNS,
     HKK_OTHER_PATTERNS,
@@ -19,7 +20,13 @@ from spreadcodes.constructions import (
 )
 from spreadcodes.doubling import min_distance, validate_doubling
 from spreadcodes.gf2geom import Subspace, subspace_distance
-from spreadcodes.spreads import classify, find_maximal_spreads, is_regulus
+from spreadcodes.spreads import (
+    SpreadError,
+    classify,
+    find_maximal_spreads,
+    is_regulus,
+    spread_from_planes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +223,29 @@ class TestCPSBuild:
 
     def test_limit_respected(self, orbits):
         assert len(list(cps_build("basic", limit=3, orbits=orbits))) == 3
+
+    def test_meet_in_a_point_precheck_matches_spread_from_planes(
+        self, orbits, monkeypatch
+    ):
+        """The pre-check accepts exactly the plane sets with a dual spread."""
+        check = constructions._meet_in_points
+        seen = Counter()
+
+        def record(planes):
+            ok = check(planes)
+            try:
+                spread_from_planes(planes)
+                built = True
+            except SpreadError:
+                built = False
+            assert ok == built, planes
+            seen[ok] += 1
+            return ok
+
+        monkeypatch.setattr(constructions, "_meet_in_points", record)
+        for variant in ("basic", "swap_reguli", "replace_plane"):
+            assert len(list(cps_build(variant, limit=12, orbits=orbits))) > 0
+        assert seen == Counter({False: 688 + 688 + 2580, True: 16 + 16 + 24})
 
 
 class TestCPSCompletionCertificate:

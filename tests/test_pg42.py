@@ -25,6 +25,12 @@ class TestTables:
             p.mask for p in enumerate_subspaces(5, 3)
         )
 
+    def test_plane_id_inverts_planes(self):
+        t = tables()
+        for p in enumerate_subspaces(5, 3):
+            assert t.planes[t.plane_id[p]] == p
+        assert len(t.plane_id) == N_LINES
+
     def test_join_solid(self):
         t = tables()
         want = np.full((N_LINES, N_LINES), -1, dtype=np.int16)

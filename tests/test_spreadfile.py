@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spreadcodes import corpus
 from spreadcodes.spreadfile import (
@@ -84,6 +85,55 @@ class TestErrors:
     def test_intersecting_lines_rejected(self):
         err = self._err(GOOD.replace("{24,15,3u}", "{1,25,125}"))
         assert "invalid spread" in str(err)
+
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        p = tmp_path / "s.txt"
+        for data, line in [
+            (b"{1,2,12}\xc3\xa9\n", 1),
+            (b"# ok\r\n\r\n{1,2,12}\n\xff\n", 4),
+            (GOOD.encode() + b"\n\n# caf\xc3\xa9\n", 7),
+        ]:
+            p.write_bytes(data)
+            with pytest.raises(ParseError) as ei:
+                load_spread_file(p)
+            assert ei.value.line == line
+            assert "non-ASCII byte" in str(ei.value)
+
+
+def _corpus_text():
+    pairs = [corpus.pair(n) for n in range(1, corpus.N_PAIRS + 1)]
+    return format_spreads([s for pair in pairs for s in pair])
+
+
+# characters of the grammar, blanks, comment marks and a few outside ASCII
+_CHARS = st.one_of(
+    st.sampled_from(list("{},12345u 0679#x\n\t\r") + ["\xe9", "\u0663", "\uff11"]),
+    st.characters(),
+)
+_EDIT = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(min_value=0),
+    _CHARS,
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_EDIT, min_size=1, max_size=8))
+    def test_mutated_corpus_text_raises_only_parse_error(self, edits):
+        text = _corpus_text()
+        for op, pos, ch in edits:
+            i = pos % (len(text) + (op == "insert"))
+            if op == "insert":
+                text = text[:i] + ch + text[i:]
+            elif op == "delete":
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + ch + text[i + 1:]
+        try:
+            parse_spread_text(text)
+        except ParseError:
+            pass
 
 
 class TestFormatting:

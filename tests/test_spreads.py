@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spreadcodes.gf2geom import Subspace, join, parse_point, rref, span
+from spreadcodes.gf2geom import Subspace, dual, join, parse_point, rref, span
 from spreadcodes.pg42 import tables
 from spreadcodes.spreads import (
     Spread,
@@ -230,6 +230,33 @@ class TestDualSpread:
         for a, b in itertools.combinations(planes, 2):
             assert (a.mask & b.mask).bit_count() == 2
         assert spread_from_planes(planes) == s1
+
+    def test_table_lookup_matches_dual_oracle(self, reference_pairs):
+        spreads = [s for pair in reference_pairs for s in pair]
+        spreads += find_maximal_spreads(mode="sample", count=200, rng_seed=5)
+        assert {classify(s).tag for s in spreads} == {"X", "E", "IDelta"}
+        for s in spreads:
+            planes = tuple(dual(l) for l in s.lines)
+            assert dual_spread(s) == planes
+            back = spread_from_planes(planes)
+            assert back.lines == Spread([dual(p) for p in planes]).lines == s.lines
+
+    def test_spread_from_planes_rejects_non_spreads(self, reference_pairs):
+        s1, _ = reference_pairs[0]
+        planes = list(dual_spread(s1))
+        a, b, _ = planes[0].basis
+        v = next(v for v in range(1, 32) if v not in planes[0])
+        bad = {
+            "repeated plane": planes[:8] + [planes[0]],
+            "planes meeting in a line": planes[:8] + [Subspace((a, b, v), 5)],
+            "line as a plane": planes[:8] + [s1.lines[8]],
+            "plane of ambient 6": planes[:8] + [Subspace(planes[8].basis, 6)],
+        }
+        for ps in bad.values():
+            with pytest.raises(SpreadError):
+                spread_from_planes(ps)
+            with pytest.raises(SpreadError):  # the per-plane dual path agrees
+                Spread([dual(p) for p in ps])
 
 
 class TestRegulusFreeExtension:
