@@ -130,11 +130,12 @@ def cmd_enumerate(args):
     return 0
 
 
-def _spread_json(s: Spread):
+def _spread_record(s: Spread) -> dict:
+    """One spread's classification: the fields every ``classify`` format
+    prints."""
     st = classify(s)
     rec = {
         "id": s.id,
-        "lines": [[point_to_bitstring(v) for v in l.basis] for l in s.lines],
         "type": st.tag,
         "holes": [format_point(h) for h in holes(s)],
         "reguli": [[i + 1 for i in t] for t in st.reguli],
@@ -150,23 +151,27 @@ def _spread_json(s: Spread):
 
 def cmd_classify(args):
     spreads = load_spread_file(args.file)
+    recs = [_spread_record(s) for s in spreads]
     if args.format == "json":
-        _emit(args, json.dumps([_spread_json(s) for s in spreads], indent=2) + "\n")
+        # json alone lists the basis bits, second after the id
+        recs = [
+            {"id": s.id,
+             "lines": [[point_to_bitstring(v) for v in l.basis] for l in s.lines],
+             **rec}
+            for s, rec in zip(spreads, recs)
+        ]
+        _emit(args, json.dumps(recs, indent=2) + "\n")
         return 0
     rows = []
-    for k, s in enumerate(spreads, 1):
-        st = classify(s)
-        regs = " ".join("R" + "".join(str(i + 1) for i in t) for t in st.reguli)
-        if st.tag == "X":
-            dist = "common line {%s}" % ",".join(
-                format_point(v) for v in s.lines[st.distinguished].points()
-            )
+    for k, rec in enumerate(recs, 1):
+        if "common_line" in rec:
+            dist = f"common line {rec['common_line']}"
         else:
             dist = "distinguished regulus R" + "".join(
-                str(i + 1) for i in st.distinguished
+                map(str, rec["distinguished_regulus"])
             )
-        hol = ",".join(format_point(h) for h in holes(s))
-        rows.append((k, s.id, st.tag, dist, hol, regs))
+        regs = " ".join("R" + "".join(map(str, t)) for t in rec["reguli"])
+        rows.append((k, rec["id"], rec["type"], dist, ",".join(rec["holes"]), regs))
     _emit(
         args,
         _tabulate(rows, ("n", "id", "type", "distinguished", "holes", "reguli"),
@@ -364,7 +369,7 @@ def cmd_verify_paper(args):
         status = "ok" if not bad else f"FAIL ({'; '.join(bad)})"
         lines.append(f"pair {n}: {status}")
         failures.extend((n, b) for b in bad)
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     if failures:
         raise VerificationError(f"reference corpus mismatches: {failures}")
     return 0
@@ -378,12 +383,12 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, fmt=True):
-        if fmt:
-            sp.add_argument("--format", choices=("text", "json", "csv"),
-                            default="text")
+    def common(sp, formats=("text", "json", "csv"), limit=True):
+        if formats:
+            sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", help="write output to this file (atomic)")
-        sp.add_argument("--limit", type=int, default=None)
+        if limit:
+            sp.add_argument("--limit", type=int, default=None)
 
     sp = sub.add_parser("enumerate", help="list subspaces of PG(4,2)")
     sp.add_argument("kind", choices=("points", "lines", "planes", "solids"))
@@ -392,7 +397,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("classify", help="classify spreads from a file")
     sp.add_argument("file")
-    common(sp)
+    common(sp, limit=False)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("doubling", help="validate doubling pairs")
@@ -403,7 +408,7 @@ def build_parser() -> _Parser:
                     default=["X", "X"], metavar="TYPE",
                     help="spread types of S1 and S2 for --search-db "
                          "(X, E or IDelta; default X X)")
-    common(sp)
+    common(sp, formats=("text", "json"))
     sp.set_defaults(func=cmd_doubling)
 
     sp = sub.add_parser("census", help="intersection-pattern census")
@@ -412,7 +417,7 @@ def build_parser() -> _Parser:
                         help="spread file; all optimal ordered (X,X) pairs used")
     source.add_argument("--exhaustive", action="store_true",
                         help="census over every optimal (X,X) pair")
-    common(sp)
+    common(sp, formats=())
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("hkk", help="run the shortened-Gabidulin pipeline")
@@ -429,7 +434,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify-paper",
                         help="check the shipped reference corpus")
-    common(sp)
+    common(sp, formats=(), limit=False)
     sp.set_defaults(func=cmd_verify_paper)
     return p
 
@@ -437,7 +442,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.limit is not None and args.limit < 0:
+    if getattr(args, "limit", None) is not None and args.limit < 0:
         parser.error(f"--limit must not be negative: {args.limit}")
     if args.cmd == "doubling" and not args.search_db and not (
         args.file1 and args.file2

@@ -122,19 +122,29 @@ class DoublingCode:
         return f"DoublingCode({self.s1.id}, {self.s2.id})"
 
 
+def _conflicts(s1: Spread, s2: Spread) -> int:
+    """The lines of s1 inside a dual plane of s2, as a bit set: 0 iff the
+    pair is optimal."""
+    return s1.line_bits & s2.perp_bits
+
+
 def validate_doubling(s1: Spread, s2: Spread) -> Verdict:
     """Optimal iff no line of s1 is contained in a dual plane of s2.
 
     Containment is the only way a codeword pair of S1 ∪ (S2)^⊥ can fall
     below distance 3, so this check is equivalent to the full pairwise
-    distance sweep (which `min_distance` performs independently).  The
-    dual planes of s2 and their masks are read from the PG(4,2) tables.
+    distance sweep (which `min_distance` performs independently).  It is
+    one AND of the spreads' bit sets; only on failure is the first witness
+    in (line, plane) order looked up in ``tables().plane_lines``.
     """
-    pms = [p.mask for p in dual_spread(s2)]
-    for i, l in enumerate(s1.lines):
-        lm = l.mask
-        for j, pm in enumerate(pms):
-            if (lm & ~pm) == 0:
+    hit = _conflicts(s1, s2)
+    if hit:
+        plane_lines = tables().plane_lines
+        for i, a in enumerate(s1.line_ids):
+            if hit >> a & 1:
+                j = next(
+                    j for j, b in enumerate(s2.line_ids) if plane_lines[b] >> a & 1
+                )
                 return Verdict(False, (i, j))
     return Verdict(True)
 
@@ -287,21 +297,18 @@ def doubling_search(
 ) -> Iterator[DoublingCode]:
     """Stream optimal doubling codes over ordered pairs from a spread list.
 
-    Pairs are tried in database order; a pair is rejected at the first
-    containment witness.  Diagonal pairs (s, s) are included when they
-    validate.
+    Pairs are tried in database order by the bit-set test of
+    `validate_doubling`, without looking up witnesses.  Diagonal pairs
+    (s, s) are included when they validate.
     """
-    tags = {}
-    for i, s in enumerate(spread_db):
-        tags[i] = classify(s).tag
+    tags = [classify(s).tag for s in spread_db]
+    cols = [s2 for s2, tag in zip(spread_db, tags) if tag == type_filter[1]]
     emitted = 0
-    for i, s1 in enumerate(spread_db):
-        if tags[i] != type_filter[0]:
+    for s1, tag in zip(spread_db, tags):
+        if tag != type_filter[0]:
             continue
-        for j, s2 in enumerate(spread_db):
-            if tags[j] != type_filter[1]:
-                continue
-            if validate_doubling(s1, s2).optimal:
+        for s2 in cols:
+            if not _conflicts(s1, s2):
                 yield DoublingCode(s1, s2)
                 emitted += 1
                 if limit is not None and emitted >= limit:

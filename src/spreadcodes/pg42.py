@@ -5,10 +5,17 @@ shared read-only by the search and census code.  Line IDs are indices into
 ``enumerate_subspaces(5, 2)``; a plane is indexed by the ID of its dual
 line, and a solid by the ID of its dual point (point value minus one).
 The duals of lines and of planes are read from ``planes`` and ``plane_id``.
+
+A line is found by its point mask (``1 | 1 << a | 1 << b | 1 << (a ^ b)`` for
+two of its points a, b; bit 0 stands for the zero vector) in ``line_id``,
+which the spread-file parser reads without building a subspace.  The lines
+inside each plane are one 155-bit int per plane in ``plane_lines``, so
+"no line of a set lies in any plane of another" is a single AND.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
@@ -22,14 +29,19 @@ N_LINES = 155
 
 
 class Tables:
-    """Incidence tables for the lines/planes/solids of PG(4,2); ``planes[i]``
-    is the dual of line i and ``plane_id`` maps each plane back to i."""
+    """Incidence tables for the lines/planes/solids of PG(4,2).
+
+    ``line_id`` maps a line's point mask to its ID; ``planes[i]`` is the
+    dual of line i and ``plane_id`` maps each plane back to i; bit k of
+    ``plane_lines[j]`` is set iff line k lies in plane j, and ``perp`` is
+    the same incidence as a (line, plane) boolean array.
+    """
 
     def __init__(self):
         lines = enumerate_subspaces(5, 2)
         assert len(lines) == N_LINES
         self.lines = lines
-        self.line_id = {l.basis: i for i, l in enumerate(lines)}
+        self.line_id = {l.mask: i for i, l in enumerate(lines)}
         self.line_mask = np.array([l.mask for l in lines], dtype=np.uint32)
 
         # dual planes: plane i is the orthogonal complement of line i
@@ -74,16 +86,24 @@ class Tables:
                     join_solid[i, j] = (pm[i] & pm[j]).bit_length() - 2
         self.join_solid = join_solid
 
-        # perp[i, j]: lines i and j are orthogonal, i.e. line i lies in
-        # the dual plane of line j
+        # plane_lines[j] and perp[:, j]: the 7 lines inside plane j (the
+        # dual of line j), one per pair of its points; line i lies in the
+        # dual plane of line j iff lines i and j are orthogonal
+        line_id = self.line_id
+        plane_lines = []
         perp = np.zeros((N_LINES, N_LINES), dtype=bool)
-        for i in range(N_LINES):
-            for j in range(N_LINES):
-                perp[i, j] = (lm[i] & ~pm[j]) == 0
+        for j, p in enumerate(self.planes):
+            inside = {
+                line_id[1 | 1 << a | 1 << b | 1 << (a ^ b)]
+                for a, b in itertools.combinations(p.points(), 2)
+            }
+            plane_lines.append(sum(1 << i for i in inside))
+            perp[list(inside), j] = True
+        self.plane_lines = tuple(plane_lines)
         self.perp = perp
 
     def id_of(self, line: Subspace) -> int:
-        return self.line_id[line.basis]
+        return self.line_id[line.mask]
 
 
 _lock = threading.Lock()

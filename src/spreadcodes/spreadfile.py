@@ -4,7 +4,8 @@ Grammar: a file is a sequence of blocks separated by one or more blank
 lines; ``#`` starts a comment running to end of line.  Each block holds
 exactly 9 lines, each written as three comma-separated point tokens in
 braces, e.g. ``{1,25,125}``; braces groups are separated by commas or
-whitespace and may wrap across physical lines within a block.
+whitespace and may wrap across physical lines within a block.  A file with
+no block is an error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import re
 from typing import List
 
-from .gf2geom import Subspace, format_point, parse_point
+from .gf2geom import format_point, parse_point, rank
+from .pg42 import tables
 from .spreads import Spread, SpreadError
 
 __all__ = ["ParseError", "parse_spread_text", "load_spread_file",
@@ -29,26 +31,35 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _line_from_tokens(tokens, lineno: int) -> Subspace:
+def _line_id(tokens, lineno: int, points: dict) -> int:
+    """The table ID of the line whose 3 points the tokens list.
+
+    ``points`` caches token -> point for one parse.  The mask of the three
+    points is a line's mask iff they are its 3 points; only a miss works
+    out which error to report.
+    """
     pts = []
     for tok in tokens:
-        try:
-            pts.append(parse_point(tok, 5))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    sub = Subspace(pts, 5)
-    if sub.dim != 2:
+        p = points.get(tok)
+        if p is None:
+            try:
+                p = points[tok] = parse_point(tok, 5)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+        pts.append(p)
+    a, b, c = pts
+    i = tables().line_id.get(1 | 1 << a | 1 << b | 1 << c)
+    if i is not None:
+        return i
+    dim = rank(pts)
+    if dim != 2:
         raise ParseError(
-            f"points {{{','.join(tokens)}}} span dimension {sub.dim}, not a line",
+            f"points {{{','.join(tokens)}}} span dimension {dim}, not a line",
             lineno,
         )
-    # the three tokens must actually be the 3 points of the line
-    if sorted(pts) != list(sub.points()):
-        raise ParseError(
-            f"{{{','.join(tokens)}}} does not list the 3 points of a line",
-            lineno,
-        )
-    return sub
+    raise ParseError(
+        f"{{{','.join(tokens)}}} does not list the 3 points of a line", lineno
+    )
 
 
 def parse_spread_text(text: str) -> List[Spread]:
@@ -66,7 +77,10 @@ def parse_spread_text(text: str) -> List[Spread]:
         cur.append((lineno, body))
     if cur:
         blocks.append(cur)
+    if not blocks:
+        raise ParseError("no spread block", 1)
 
+    points: dict = {}
     spreads = []
     for block in blocks:
         start = block[0][0]
@@ -81,16 +95,16 @@ def parse_spread_text(text: str) -> List[Spread]:
             raise ParseError(
                 f"block has {len(groups)} brace groups, expected 9", start
             )
-        lines = []
+        ids = []
         for g in groups:
             tokens = [t.strip() for t in g.split(",") if t.strip()]
             if len(tokens) != 3:
                 raise ParseError(
                     f"{{{g}}} has {len(tokens)} tokens, expected 3", start
                 )
-            lines.append(_line_from_tokens(tokens, start))
+            ids.append(_line_id(tokens, start, points))
         try:
-            spreads.append(Spread(lines))
+            spreads.append(Spread.from_line_ids(ids))
         except SpreadError as exc:
             raise ParseError(f"invalid spread: {exc}", start) from None
     return spreads

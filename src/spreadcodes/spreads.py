@@ -58,6 +58,11 @@ class SpreadError(ValueError):
     """Input does not satisfy the spread axioms."""
 
 
+def _check_count(lines) -> None:
+    if len(lines) != 9:
+        raise SpreadError(f"expected 9 lines, got {len(lines)}")
+
+
 class SpreadAnomaly(RuntimeError):
     """A structural fact that should hold for every spread failed.
 
@@ -71,43 +76,58 @@ class Spread:
 
     The stored order is preserved (examples are referenced by position);
     identity is order-independent via the sorted canonical line IDs.
+    ``lines`` are the ``tables().lines`` objects of ``line_ids``.
+    ``line_bits`` and ``perp_bits`` are 155-bit sets of line IDs: the
+    spread's own lines, and the lines inside its dual planes (read from
+    ``tables().plane_lines``).
     """
 
-    __slots__ = ("lines", "_ids")
+    __slots__ = ("lines", "line_ids", "line_bits", "perp_bits")
 
     def __init__(self, lines: Sequence[Subspace]):
         lines = tuple(lines)
-        if len(lines) != 9:
-            raise SpreadError(f"expected 9 lines, got {len(lines)}")
+        _check_count(lines)
+        line_id = tables().line_id
+        ids = []
         for l in lines:
             if l.n != 5 or l.dim != 2:
                 raise SpreadError(f"not a line of PG(4,2): {l!r}")
-        for i in range(9):
-            for j in range(i + 1, 9):
-                if (lines[i].mask & lines[j].mask) != 1:
-                    raise SpreadError(
-                        f"lines {i + 1} and {j + 1} intersect: "
-                        f"{lines[i]!r}, {lines[j]!r}"
-                    )
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "_ids", None)
+            ids.append(line_id[l.mask])
+        self._set_ids(ids)
 
     def __setattr__(self, *a):
         raise AttributeError("Spread is immutable")
 
     @classmethod
     def from_line_ids(cls, ids: Sequence[int]) -> "Spread":
-        t = tables()
-        return cls([t.lines[int(i)] for i in ids])
+        # indexed like tables().lines: a negative id counts from the end,
+        # one out of range raises IndexError
+        ids = [range(N_LINES)[i] for i in ids]
+        _check_count(ids)
+        s = cls.__new__(cls)
+        s._set_ids(ids)
+        return s
 
-    @property
-    def line_ids(self) -> tuple:
-        ids = self._ids
-        if ids is None:
-            t = tables()
-            ids = tuple(t.id_of(l) for l in self.lines)
-            object.__setattr__(self, "_ids", ids)
-        return ids
+    def _set_ids(self, ids: list) -> None:
+        """Store the 9 ids once they are pairwise-disjoint lines."""
+        t = tables()
+        adj = t.adjacency
+        for a in range(8):
+            row = adj[ids[a]]
+            for b in range(a + 1, 9):
+                if not row >> ids[b] & 1:
+                    la, lb = t.lines[ids[a]], t.lines[ids[b]]
+                    raise SpreadError(
+                        f"lines {a + 1} and {b + 1} intersect: {la!r}, {lb!r}"
+                    )
+        line_bits = perp_bits = 0
+        for i in ids:
+            line_bits |= 1 << i
+            perp_bits |= t.plane_lines[i]
+        object.__setattr__(self, "line_ids", tuple(ids))
+        object.__setattr__(self, "lines", tuple(t.lines[i] for i in ids))
+        object.__setattr__(self, "line_bits", line_bits)
+        object.__setattr__(self, "perp_bits", perp_bits)
 
     @property
     def key(self) -> tuple:

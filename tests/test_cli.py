@@ -85,6 +85,52 @@ class TestExitCodes:
         assert cli.main(["classify", "/nonexistent/file.txt"]) == 1
 
 
+class TestOptions:
+    def test_verify_paper_out_writes_the_report(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        assert cli.main(["verify-paper", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert lines == [f"pair {n}: ok" for n in range(1, 6)]
+        manifest = json.loads((tmp_path / "report.txt.manifest.json").read_text())
+        assert manifest["command"] == "verify-paper"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-paper", "--format", "json"],
+            ["verify-paper", "--limit", "1"],
+            ["classify", "S1", "--limit", "1"],
+            ["census", "--db", "S1", "--format", "json"],
+            ["doubling", "S1", "S2", "--format", "csv"],
+            ["doubling", "--search-db", "S1", "--format", "csv"],
+        ],
+    )
+    def test_option_the_command_does_not_use_is_usage_error(
+        self, pair_file, argv, capsys
+    ):
+        files = dict(zip(("S1", "S2"), map(str, pair_file)))
+        with pytest.raises(SystemExit) as ei:
+            cli.main([files.get(a, a) for a in argv])
+        assert ei.value.code == 1
+        assert capsys.readouterr().out == ""
+
+
+class TestNoSpreadBlock:
+    @pytest.mark.parametrize("text", ["", "# comments only\n\n# and blanks\n"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "E"], ["doubling", "--search-db", "E"], ["doubling", "E", "E"]],
+    )
+    def test_is_parse_error_2(self, tmp_path, capsys, text, argv):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        assert cli.main([str(empty) if a == "E" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parse error: line 1: no spread block" in captured.err
+
+
 class TestEnumerate:
     def test_counts(self, capsys):
         assert cli.main(["enumerate", "points"]) == 0

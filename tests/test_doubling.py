@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spreadcodes import cli, doubling
+from spreadcodes.constructions import cps_build
 from spreadcodes.doubling import (
     ALLOWED_PATTERNS,
     ELIMINATED_PATTERN,
@@ -22,7 +23,40 @@ from spreadcodes.doubling import (
 )
 from spreadcodes.gf2geom import dual, enumerate_subspaces, subspace_distance
 from spreadcodes.pg42 import tables
-from spreadcodes.spreads import Spread, SpreadAnomaly, classify, dual_spread, holes
+from spreadcodes.spreads import (
+    Spread,
+    SpreadAnomaly,
+    classify,
+    dual_spread,
+    find_maximal_spreads,
+    holes,
+)
+
+TAGS = ("X", "E", "IDelta")
+
+
+@pytest.fixture(scope="module")
+def typed_db(reference_pairs):
+    """Twenty sampled spreads of each type, two corpus pairs and a CPS
+    (X,E) pair, so that every type pair has both verdicts among its pairs."""
+    by_tag = {tag: [] for tag in TAGS}
+    for s in find_maximal_spreads("sample", count=400, rng_seed=3):
+        group = by_tag[classify(s).tag]
+        if len(group) < 20:
+            group.append(s)
+    code, _ = next(cps_build(variant="basic", limit=1))
+    corpus_spreads = [s for pair in reference_pairs[:2] for s in pair]
+    return corpus_spreads + [code.s1, code.s2] + [s for g in by_tag.values() for s in g]
+
+
+def _containment_verdict(s1, s2, planes2):
+    """Oracle for ``validate_doubling``: point masks of s1's lines against
+    the planes ``gf2geom.dual`` builds for s2, in (line, plane) order."""
+    for i, line in enumerate(s1.lines):
+        for j, plane in enumerate(planes2):
+            if line.mask & ~plane.mask == 0:
+                return False, (i, j)
+    return True, None
 
 
 class TestValidation:
@@ -42,6 +76,36 @@ class TestValidation:
         line = s1.lines[i]
         plane = dual_spread(s1)[j]
         assert line <= plane
+
+    def test_verdicts_match_containment_oracle(self, typed_db):
+        planes = [[dual(l) for l in s.lines] for s in typed_db]
+        tags = [classify(s).tag for s in typed_db]
+        seen = set()
+        for s1, t1 in zip(typed_db, tags):
+            for s2, t2, planes2 in zip(typed_db, tags, planes):
+                want = _containment_verdict(s1, s2, planes2)
+                v = validate_doubling(s1, s2)
+                assert (v.optimal, v.witness) == want
+                seen.add((t1, t2, v.optimal))
+        pairs = {(a, b) for a in TAGS for b in TAGS}
+        assert {(a, b) for a, b, ok in seen if not ok} == pairs
+        assert {("X", "X"), ("X", "E"), ("E", "X")} <= {
+            (a, b) for a, b, ok in seen if ok
+        }
+
+    def test_search_matches_per_pair_validation(self, typed_db):
+        tags = [classify(s).tag for s in typed_db]
+        for f in itertools.product(TAGS, repeat=2):
+            want = [
+                (a, b)
+                for a, ta in zip(typed_db, tags)
+                for b, tb in zip(typed_db, tags)
+                if (ta, tb) == f and validate_doubling(a, b).optimal
+            ]
+            got = [(c.s1, c.s2) for c in doubling_search(typed_db, f)]
+            assert got == want
+            limited = [(c.s1, c.s2) for c in doubling_search(typed_db, f, limit=2)]
+            assert limited == want[:2]
 
     def test_min_distance_matches_pairwise_sweep(self, reference_pairs):
         s1, s2 = reference_pairs[0]

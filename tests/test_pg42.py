@@ -58,3 +58,17 @@ class TestTables:
             for k, line in enumerate(t.lines):
                 inside = all(dot(v, p) == 0 for v in line.basis)
                 assert t.line_in_solid[p - 1, k] == inside
+
+    def test_plane_lines_match_perp(self):
+        t = tables()
+        for j, bits in enumerate(t.plane_lines):
+            inside = [k for k in range(N_LINES) if bits >> k & 1]
+            assert len(inside) == 7
+            assert inside == np.flatnonzero(t.perp[:, j]).tolist()
+
+    def test_line_id_keys_are_point_masks(self):
+        t = tables()
+        assert len(t.line_id) == N_LINES
+        for i, line in enumerate(t.lines):
+            a, b, c = line.points()
+            assert t.line_id[1 | 1 << a | 1 << b | 1 << c] == i == t.id_of(line)

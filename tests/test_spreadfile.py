@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spreadcodes import corpus
+from spreadcodes import corpus, spreadfile
+from spreadcodes.gf2geom import Subspace, parse_point
+from spreadcodes.pg42 import tables
 from spreadcodes.spreadfile import (
     ParseError,
     format_spread,
@@ -9,6 +11,55 @@ from spreadcodes.spreadfile import (
     load_spread_file,
     parse_spread_text,
 )
+from spreadcodes.spreads import find_maximal_spreads
+
+
+def _line_from_tokens(tokens, lineno: int) -> Subspace:
+    """Oracle for the parser's line lookup: the line by ``rref``."""
+    pts = []
+    for tok in tokens:
+        try:
+            pts.append(parse_point(tok, 5))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+    sub = Subspace(pts, 5)
+    if sub.dim != 2:
+        raise ParseError(
+            f"points {{{','.join(tokens)}}} span dimension {sub.dim}, not a line",
+            lineno,
+        )
+    # the three tokens must actually be the 3 points of the line
+    if sorted(pts) != list(sub.points()):
+        raise ParseError(
+            f"{{{','.join(tokens)}}} does not list the 3 points of a line",
+            lineno,
+        )
+    return sub
+
+
+def _parse_by_rref(text):
+    """``parse_spread_text`` with each line resolved by the rref oracle."""
+    lines = tables().lines
+
+    def line_id(tokens, lineno, points):
+        return lines.index(_line_from_tokens(tokens, lineno))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spreadfile, "_line_id", line_id)
+        return parse_spread_text(text)
+
+
+def _same_outcome(text):
+    """Parse by table and by oracle: the same spreads or the same error."""
+    try:
+        want = _parse_by_rref(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as ei:
+            parse_spread_text(text)
+        assert str(ei.value) == str(exc) and ei.value.line == exc.line
+        return
+    got = parse_spread_text(text)
+    assert [s.line_ids for s in got] == [s.line_ids for s in want]
 
 GOOD = """
 # a reference spread, wrapped over two physical lines
@@ -45,11 +96,31 @@ class TestParsing:
         assert len(load_spread_file(p)) == 1
 
 
+class TestTableParserOracle:
+    def test_corpus(self):
+        text = _corpus_text()
+        _same_outcome(text)
+        assert len(parse_spread_text(text)) == 2 * corpus.N_PAIRS
+
+    def test_sampled_spreads(self):
+        spreads = list(find_maximal_spreads("sample", count=200, rng_seed=23))
+        text = format_spreads(spreads)
+        assert parse_spread_text(text) == spreads
+        _same_outcome(text)
+
+
 class TestErrors:
     def _err(self, text):
+        """The parser's ParseError, which the rref oracle must raise too."""
         with pytest.raises(ParseError) as ei:
             parse_spread_text(text)
+        _same_outcome(text)
         return ei.value
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# header only\n\n  # more\n"])
+    def test_no_spread_block(self, text):
+        err = self._err(text)
+        assert str(err) == "line 1: no spread block"
 
     def test_wrong_group_count(self):
         err = self._err("{1,25,125},{24,15,3u}")
@@ -72,6 +143,10 @@ class TestErrors:
         # three independent points span a plane, not a line
         err = self._err(GOOD.replace("{24,15,3u}", "{1,2,4}"))
         assert "not a line" in str(err)
+
+    def test_repeated_point(self):
+        err = self._err(GOOD.replace("{24,15,3u}", "{1,1,1}"))
+        assert "points {1,1,1} span dimension 1, not a line" in str(err)
 
     def test_not_the_three_points(self):
         # a repeated token spans a line but does not list its 3 points
@@ -121,6 +196,7 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_EDIT, min_size=1, max_size=8))
     def test_mutated_corpus_text_raises_only_parse_error(self, edits):
+        # and the table parser agrees with the rref oracle on every text
         text = _corpus_text()
         for op, pos, ch in edits:
             i = pos % (len(text) + (op == "insert"))
@@ -130,10 +206,7 @@ class TestFuzz:
                 text = text[:i] + text[i + 1:]
             else:
                 text = text[:i] + ch + text[i + 1:]
-        try:
-            parse_spread_text(text)
-        except ParseError:
-            pass
+        _same_outcome(text)
 
 
 class TestFormatting:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spreadcodes.gf2geom import Subspace, dual, join, parse_point, rref, span
-from spreadcodes.pg42 import tables
+from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import (
     Spread,
     SpreadError,
@@ -53,6 +53,64 @@ class TestSpreadBasics:
         s1, _ = reference_pairs[0]
         with pytest.raises(SpreadError):
             Spread(s1.lines[:8])
+
+    def test_from_line_ids_agrees_with_lines(self, reference_pairs):
+        spreads = [s for pair in reference_pairs for s in pair]
+        spreads += list(find_maximal_spreads("sample", count=40, rng_seed=5))
+        lines = tables().lines
+        for s in spreads:
+            a = Spread([Subspace(l.basis, 5) for l in s.lines])
+            b = Spread.from_line_ids(s.line_ids)
+            assert a.line_ids == b.line_ids == s.line_ids
+            assert a.lines == b.lines == tuple(lines[i] for i in s.line_ids)
+            assert all(x is lines[i] for x, i in zip(a.lines, a.line_ids))
+            in_dual = tables().perp[:, list(s.line_ids)].any(axis=1)
+            assert a.line_bits == b.line_bits == sum(1 << i for i in s.line_ids)
+            assert a.perp_bits == b.perp_bits == sum(
+                1 << int(k) for k in np.flatnonzero(in_dual)
+            )
+
+    def test_from_line_ids_indexes_like_the_line_table(self, reference_pairs):
+        s1, _ = reference_pairs[0]
+        ids = list(s1.line_ids)
+        alias = Spread.from_line_ids([ids[0] - N_LINES] + ids[1:])
+        assert alias.line_ids == s1.line_ids and alias == s1
+        with pytest.raises(IndexError):
+            Spread.from_line_ids([N_LINES] + ids[1:])
+
+    def test_overlaps_raise_the_same_error_both_ways(self, reference_pairs):
+        s1, s2 = reference_pairs[0]
+        lines = tables().lines
+        inputs = []
+        for k in range(9):
+            ids = list(s1.line_ids)
+            ids[k] = ids[(k + 4) % 9]  # a repeated line
+            inputs.append(ids)
+            meeting = next(  # a line of s2 meeting line k of s1
+                i for i in s2.line_ids if (lines[i].mask & lines[ids[8 - k]].mask) != 1
+            )
+            ids = list(s1.line_ids)
+            ids[k] = meeting
+            inputs.append(ids)
+        inputs += [s1.line_ids[:8], s1.line_ids + s2.line_ids[:1]]
+        for ids in inputs:
+            with pytest.raises(SpreadError) as by_lines:
+                Spread([lines[i] for i in ids])
+            with pytest.raises(SpreadError) as by_ids:
+                Spread.from_line_ids(ids)
+            assert str(by_lines.value) == str(by_ids.value)
+            # the message names the first overlapping pair by rref bases
+            if len(ids) == 9:
+                a, b = next(
+                    (a, b)
+                    for a, b in itertools.combinations(range(9), 2)
+                    if (lines[ids[a]].mask & lines[ids[b]].mask) != 1
+                )
+                assert str(by_ids.value) == (
+                    f"lines {a + 1} and {b + 1} intersect: "
+                    f"{Subspace(lines[ids[a]].basis, 5)!r}, "
+                    f"{Subspace(lines[ids[b]].basis, 5)!r}"
+                )
 
     def test_identity_order_independent(self, reference_pairs):
         s1, _ = reference_pairs[0]
