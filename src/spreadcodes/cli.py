@@ -409,7 +409,8 @@ def build_parser() -> _Parser:
                     help="spread types of S1 and S2 for --search-db "
                          "(X, E or IDelta; default X X)")
     common(sp, formats=("text", "json"))
-    sp.set_defaults(func=cmd_doubling)
+    # None tells an explicit --format apart: --search-db always prints JSON
+    sp.set_defaults(func=cmd_doubling, format=None)
 
     sp = sub.add_parser("census", help="intersection-pattern census")
     source = sp.add_mutually_exclusive_group(required=True)
@@ -444,10 +445,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "limit", None) is not None and args.limit < 0:
         parser.error(f"--limit must not be negative: {args.limit}")
-    if args.cmd == "doubling" and not args.search_db and not (
-        args.file1 and args.file2
-    ):
-        parser.error("doubling needs FILE1 FILE2 or --search-db")
+    if args.cmd == "doubling":
+        if not args.search_db and not (args.file1 and args.file2):
+            parser.error("doubling needs FILE1 FILE2 or --search-db")
+        if args.search_db and args.format is not None:
+            parser.error("doubling --search-db always prints JSON; drop --format")
+        if not args.search_db and args.limit is not None:
+            parser.error("--limit applies to doubling --search-db only")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -19,21 +19,22 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .doubling import DoublingCode, intersection_pattern, validate_doubling
 from .gf2geom import (
     Subspace,
     act_subspace,
+    act_vector,
     enumerate_subspaces,
     join,
     rref,
     span_mask,
     subspace_distance,
 )
+from .pg42 import N_LINES, tables
 from .spreads import (
     Spread,
     SpreadError,
+    _is_regulus_ids,
     classify,
     is_regulus,
     holes,
@@ -402,24 +403,19 @@ def hkk_pattern_check(result: HKKResult) -> HKKPatternReport:
 # CPS pipeline
 
 
-def _cps_matrix(b: int, c: int, d: int) -> np.ndarray:
-    """The group matrix at a=1, alpha=1 (block [[C, bC], [0, C]] shape).
+def _cps_matrix(b: int, c: int, d: int) -> tuple:
+    """The group matrix at a=1, alpha=1 (block [[1, 0, 0], [0, C, bC],
+    [0, 0, C]] shape), as int rows (see ``gf2geom.act_vector``).
 
     The scalar block C = [[c, d], [d, c+d]] with det = c^2 + cd + d^2 = 1.
     """
-    return (
-        np.array(
-            [
-                [1, 0, 0, 0, 0],
-                [0, c, d, b * c, b * d],
-                [0, d, (c + d), b * d, b * (c + d)],
-                [0, 0, 0, c, d],
-                [0, 0, 0, d, (c + d)],
-            ],
-            dtype=np.uint8,
-        )
-        % 2
-    )
+    rows = (c | d << 1, d | (c ^ d) << 1)  # the rows of C as 2-bit ints
+    return (1,) + tuple(r << 1 | b * r << 3 for r in rows) + tuple(r << 3 for r in rows)
+
+
+def _compose(x: tuple, y: tuple) -> tuple:
+    """The int-row matrix of x then y: row i of the product x y."""
+    return tuple(act_vector(r, y) for r in x)
 
 
 def cps_group() -> list:
@@ -429,18 +425,17 @@ def cps_group() -> list:
         for b in (0, 1)
         for (c, d) in ((1, 0), (0, 1), (1, 1))
     ]
-    if len(group) != 6:
+    if len(set(group)) != 6:
         raise AssertionError("CPS group must have 6 elements")
-    ident = np.eye(5, dtype=np.uint8)
-    keys = {m.tobytes() for m in group}
-    if not (group[0] == ident).all():
+    ident = (1, 2, 4, 8, 16)
+    if group[0] != ident:
         raise AssertionError("M_{1,0,1,0} must be the identity")
     for x in group:
         for y in group:
-            if ((x @ y) % 2).tobytes() not in keys:
+            if _compose(x, y) not in group:
                 raise AssertionError("CPS group not closed under product")
     for x in group:
-        if not any(((x @ y) % 2 == ident).all() for y in group):
+        if not any(_compose(x, y) == ident for y in group):
             raise AssertionError("CPS group element without inverse")
     return group
 
@@ -510,21 +505,19 @@ class CPSConfig:
     replaced_index: Optional[int] = None
 
 
-def _completing_reguli(l1_lines, all_lines):
-    """Regulus triples of lines disjoint from the 6 orbit lines."""
-    cand = [
-        l
-        for l in all_lines
-        if all((l.mask & x.mask) == 1 for x in l1_lines)
-    ]
-    for t in itertools.combinations(cand, 3):
-        if (
-            (t[0].mask & t[1].mask) == 1
-            and (t[0].mask & t[2].mask) == 1
-            and (t[1].mask & t[2].mask) == 1
-            and is_regulus(*t)
-        ):
-            yield t
+def _completing_reguli(l1_lines):
+    """Regulus triples of lines disjoint from the 6 orbit lines, ascending
+    in line ids; the candidates are the AND of the orbit lines'
+    ``adjacency`` rows."""
+    t = tables()
+    adj = t.adjacency
+    cand = (1 << N_LINES) - 1
+    for l in l1_lines:
+        cand &= adj[t.line_id[l.mask]]
+    ids = [i for i in range(N_LINES) if cand >> i & 1]
+    for a, b, c in itertools.combinations(ids, 3):
+        if adj[a] >> b & 1 and (adj[a] & adj[b]) >> c & 1 and _is_regulus_ids(a, b, c):
+            yield t.lines[a], t.lines[b], t.lines[c]
 
 
 def _meet_in_points(planes) -> bool:
@@ -562,21 +555,21 @@ def cps_build(
         raise ValueError(f"unknown variant {variant!r}")
     if orbits is None:
         orbits = cps_orbits()
-    all_lines = enumerate_subspaces(5, 2)
     all_planes = enumerate_subspaces(5, 3)
     emitted = 0
     for li in orbits.good_line_orbits:
         l1 = orbits.line_orbits[li]
-        for r2 in _completing_reguli(l1, all_lines):
+        for r2 in _completing_reguli(l1):
             r1 = opposite_regulus(r2)
             if variant == "swap_reguli":
                 spread_part, plane_part = r1, r2
             else:
                 spread_part, plane_part = r2, r1
-            try:
-                s1 = Spread(tuple(l1) + tuple(spread_part))
-            except SpreadError:
-                continue
+            # r2 is disjoint from l1, and r1 covers the same 9 points of
+            # the carrier solid as r2: either completes l1 to a spread
+            s1 = Spread(tuple(l1) + tuple(spread_part))
+            if variant == "replace_plane":
+                carrier = join(join(r1[0], r1[1]), r1[2])
             covered = 0
             for l in plane_part:
                 covered |= l.mask
@@ -586,23 +579,22 @@ def cps_build(
                 base_planes = tuple(
                     Subspace(l.basis + (n,), 5) for l in plane_part
                 )
+                if variant in ("basic", "swap_reguli"):
+                    choices = [(None, base_planes)]
+                else:
+                    choices = []
+                    for k in range(3):
+                        for alt in all_planes:
+                            if (
+                                (r1[k].mask & ~alt.mask) == 0
+                                and alt != base_planes[k]
+                                and (alt.mask & ~carrier.mask) != 0
+                            ):
+                                ps = list(base_planes)
+                                ps[k] = alt
+                                choices.append((k, tuple(ps)))
                 for pi in orbits.good_plane_orbits:
                     p1 = orbits.plane_orbits[pi]
-                    if variant in ("basic", "swap_reguli"):
-                        choices = [(None, base_planes)]
-                    else:
-                        carrier = join(join(r1[0], r1[1]), r1[2])
-                        choices = []
-                        for k in range(3):
-                            for alt in all_planes:
-                                if (
-                                    (r1[k].mask & ~alt.mask) == 0
-                                    and alt != base_planes[k]
-                                    and (alt.mask & ~carrier.mask) != 0
-                                ):
-                                    ps = list(base_planes)
-                                    ps[k] = alt
-                                    choices.append((k, tuple(ps)))
                     for replaced, pset in choices:
                         planes = tuple(p1) + pset
                         if not _meet_in_points(planes):

@@ -318,12 +318,10 @@ def doubling_search(
 # ---------------------------------------------------------------------------
 # exhaustive (X,X) census
 
-# Generators of GL(5,2); row i is the image of basis vector i + 1.
+# Generators of GL(5,2) as int-row matrices (see gf2geom.act_vector).
 _GENERATORS = (
-    # cyclic coordinate shift e_i -> e_{i+1}
-    ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, 0, 0, 0, 0)),
-    # transvection e1 -> e1 + e2
-    ((1, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),
+    (2, 4, 8, 16, 1),  # cyclic coordinate shift e_i -> e_{i+1}
+    (3, 2, 4, 8, 16),  # transvection e1 -> e1 + e2
 )
 
 # _BINOM[i, k] = C(i, k + 1): by the combinatorial number system, the sum
@@ -340,7 +338,9 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 def _line_permutation(m) -> np.ndarray:
     """perm[i] is the line id of the image of line i under the matrix ``m``."""
     t = tables()
-    return np.array([t.id_of(act_subspace(l, m)) for l in t.lines], dtype=np.int16)
+    return np.array(
+        [t.line_id[act_subspace(l, m).mask] for l in t.lines], dtype=np.int16
+    )
 
 
 def _certify_orbit(rows: np.ndarray) -> None:

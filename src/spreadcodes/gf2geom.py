@@ -212,14 +212,16 @@ def dual(u: Subspace) -> Subspace:
 
 
 def act_vector(v: int, m) -> int:
-    """The row vector ``v`` times the 0/1 matrix ``m`` over GF(2).
+    """The row vector ``v`` times the matrix ``m`` over GF(2).
 
-    Row ``i`` of ``m`` is the image of basis vector ``i + 1``.
+    ``m`` is a tuple of row vectors stored as ints, like every vector here:
+    row ``i`` is the image of basis vector ``i + 1`` (bit ``i``).
     """
     out = 0
-    for i, row in enumerate(m):
-        if v >> i & 1:
-            out ^= sum(int(x) << j for j, x in enumerate(row))
+    for row in m:
+        if v & 1:
+            out ^= row
+        v >>= 1
     return out
 
 

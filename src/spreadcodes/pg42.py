@@ -20,7 +20,7 @@ import threading
 
 import numpy as np
 
-from .gf2geom import Subspace, dot, dual, enumerate_subspaces
+from .gf2geom import dot, dual, enumerate_subspaces
 
 __all__ = ["Tables", "tables"]
 
@@ -101,9 +101,6 @@ class Tables:
             perp[list(inside), j] = True
         self.plane_lines = tuple(plane_lines)
         self.perp = perp
-
-    def id_of(self, line: Subspace) -> int:
-        return self.line_id[line.mask]
 
 
 _lock = threading.Lock()

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gf2geom import Subspace, rref
+from .gf2geom import Subspace
 from .pg42 import N_LINES, tables
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "holes",
     "opposite_regulus",
     "dual_spread",
-    "disjointness_graph",
     "find_maximal_spreads",
     "verify_regulus_free_extension",
     "all_spread_line_ids",
@@ -165,14 +164,22 @@ def holes(s: Spread) -> tuple:
     return tuple(out)
 
 
-def is_regulus(l1: Subspace, l2: Subspace, l3: Subspace) -> bool:
-    """True iff the three lines are pairwise disjoint and span a solid."""
-    for l in (l1, l2, l3):
+def _line_ids(lines) -> list:
+    """Ids of lines of PG(4,2); ValueError for anything else."""
+    line_id = tables().line_id
+    for l in lines:
         if l.n != 5 or l.dim != 2:
             raise ValueError(f"not a line of PG(4,2): {l!r}")
-    if (l1.mask & l2.mask) != 1 or (l1.mask & l3.mask) != 1 or (l2.mask & l3.mask) != 1:
+    return [line_id[l.mask] for l in lines]
+
+
+def is_regulus(l1: Subspace, l2: Subspace, l3: Subspace) -> bool:
+    """True iff the three lines are pairwise disjoint and span a solid."""
+    a, b, c = _line_ids((l1, l2, l3))
+    adj = tables().adjacency
+    if not (adj[a] >> b & 1 and adj[a] >> c & 1 and adj[b] >> c & 1):
         return False
-    return len(rref(l1.basis + l2.basis + l3.basis)) == 4
+    return bool(_is_regulus_ids(a, b, c))
 
 
 def _is_regulus_ids(a, b, c):
@@ -240,19 +247,22 @@ def classify(s: Spread) -> SpreadType:
 
 
 def opposite_regulus(lines3: Sequence[Subspace]) -> tuple:
-    """The 3 transversals of a regulus (lines meeting all three of it)."""
+    """The 3 transversals of a regulus (lines meeting all three of it).
+
+    A line meets line i iff it is not in ``adjacency[i]``; the AND of the
+    three complemented rows leaves out the three lines themselves, as each
+    is disjoint from the other two.  Ascending line id.
+    """
     l1, l2, l3 = lines3
     if not is_regulus(l1, l2, l3):
         raise ValueError("not a regulus")
-    p3 = l3.mask
-    out = set()
-    for p1 in l1.points():
-        for p2 in l2.points():
-            if p3 >> (p1 ^ p2) & 1:
-                out.add(rref((p1, p2)))
-    if len(out) != 3:
-        raise SpreadAnomaly(f"regulus with {len(out)} transversals")
-    return tuple(Subspace(b, 5) for b in sorted(out))
+    t = tables()
+    meet = (1 << N_LINES) - 1
+    for i in _line_ids(lines3):
+        meet &= ~t.adjacency[i]
+    if meet.bit_count() != 3:
+        raise SpreadAnomaly(f"regulus with {meet.bit_count()} transversals")
+    return tuple(t.lines[i] for i in range(N_LINES) if meet >> i & 1)
 
 
 def dual_spread(s: Spread) -> tuple:
@@ -270,18 +280,9 @@ def spread_from_planes(planes: Sequence[Subspace]) -> Spread:
     return Spread.from_line_ids(ids)
 
 
-def disjointness_graph() -> tuple:
-    """Adjacency of the 155-node line-disjointness graph.
-
-    Returned as a tuple of 155 bitmasks over line IDs; bit j of entry i is
-    set iff lines i and j are disjoint.
-    """
-    return tables().adjacency
-
-
-def _clique_extend(adj, cur, cand, out_size=9):
-    """Lexicographic enumeration of all cliques of size ``out_size``."""
-    need = out_size - len(cur)
+def _clique_extend(adj, cur, cand):
+    """Lexicographic enumeration of all 9-cliques extending ``cur``."""
+    need = 9 - len(cur)
     if need == 0:
         yield tuple(cur)
         return
@@ -292,13 +293,12 @@ def _clique_extend(adj, cur, cand, out_size=9):
         j = (c & -c).bit_length() - 1
         c ^= 1 << j
         cur.append(j)
-        yield from _clique_extend(adj, cur, c & adj[j], out_size)
+        yield from _clique_extend(adj, cur, c & adj[j])
         cur.pop()
 
 
 def find_maximal_spreads(
     mode: str = "exhaustive",
-    seed: Optional[Spread] = None,
     count: Optional[int] = None,
     rng_seed: Optional[int] = None,
 ) -> Iterator[Spread]:
@@ -306,8 +306,6 @@ def find_maximal_spreads(
 
     * ``exhaustive``: every size-9 spread exactly once, lexicographic in
       line IDs.
-    * ``seeded``: all spreads sharing at least one line with ``seed``
-      (deduplicated); the seed itself is always among the results.
     * ``sample``: ``count`` distinct spreads from randomized greedy clique
       completions, deterministic for a fixed ``rng_seed``.
     """
@@ -317,17 +315,6 @@ def find_maximal_spreads(
     if mode == "exhaustive":
         for ids in _clique_extend(adj, [], full):
             yield Spread.from_line_ids(ids)
-    elif mode == "seeded":
-        if seed is None:
-            raise ValueError("seeded mode requires a seed spread")
-        emitted = set()
-        for anchor in sorted(seed.line_ids):
-            # cliques containing `anchor`: search its neighborhood
-            for rest in _clique_extend(adj, [], adj[anchor], out_size=8):
-                ids = tuple(sorted((anchor,) + rest))
-                if ids not in emitted:
-                    emitted.add(ids)
-                    yield Spread.from_line_ids(ids)
     elif mode == "sample":
         if count is None:
             raise ValueError("sample mode requires a count")
@@ -371,10 +358,9 @@ def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -
         raise ValueError("need exactly 8 lines")
     if plane.n != 5 or plane.dim != 3:
         raise ValueError("need a plane of PG(4,2)")
+    ids = _line_ids(lines8)
     cover = 1
     for i, l in enumerate(lines8):
-        if l.dim != 2:
-            raise ValueError("inputs must be lines")
         for m in lines8[i + 1 :]:
             if (l.mask & m.mask) != 1:
                 raise SpreadError("the 8 lines are not pairwise disjoint")
@@ -384,22 +370,15 @@ def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -
     if (cover | plane.mask) != (1 << 32) - 1:
         raise SpreadError("lines and plane do not partition the point set")
 
-    for t in itertools.combinations(lines8, 3):
-        if is_regulus(*t):
-            return False
-    plane_lines = [
-        Subspace((p1, p2), 5)
-        for p1, p2 in itertools.combinations(plane.points(), 2)
-    ]
-    seen = set()
-    for pl in plane_lines:
-        if pl.basis in seen:
-            continue
-        seen.add(pl.basis)
-        st = classify(Spread(lines8 + (pl,)))
-        if st.tag != "X":
-            return False
-    return True
+    if any(_is_regulus_ids(*t) for t in itertools.combinations(ids, 3)):
+        return False
+    t = tables()
+    inside = t.plane_lines[t.plane_id[plane]]
+    return all(
+        classify(Spread.from_line_ids(ids + [k])).tag == "X"
+        for k in range(N_LINES)
+        if inside >> k & 1
+    )
 
 
 # ---------------------------------------------------------------------------

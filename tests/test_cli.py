@@ -104,6 +104,8 @@ class TestOptions:
             ["census", "--db", "S1", "--format", "json"],
             ["doubling", "S1", "S2", "--format", "csv"],
             ["doubling", "--search-db", "S1", "--format", "csv"],
+            ["doubling", "S1", "S2", "--limit", "1"],
+            ["doubling", "--search-db", "S1", "--format", "text"],
         ],
     )
     def test_option_the_command_does_not_use_is_usage_error(

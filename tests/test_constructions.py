@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -19,7 +20,7 @@ from spreadcodes.constructions import (
     shorten,
 )
 from spreadcodes.doubling import min_distance, validate_doubling
-from spreadcodes.gf2geom import Subspace, subspace_distance
+from spreadcodes.gf2geom import Subspace, act_vector, subspace_distance
 from spreadcodes.spreads import (
     SpreadError,
     classify,
@@ -146,15 +147,14 @@ class TestCPSGroup:
         group = cps_group()
         assert len(group) == 6
         # cyclic of order 6: one involution, two order-3 and two order-6
-        # elements besides the identity
-        import numpy as np
-
-        ident = np.eye(5, dtype=np.uint8)
+        # elements besides the identity; matrices are int rows, row i the
+        # image of basis vector i + 1
+        ident = (1, 2, 4, 8, 16)
         orders = []
         for m in group:
-            x, k = m.copy(), 1
-            while not (x == ident).all():
-                x = (x @ m) % 2
+            x, k = m, 1
+            while x != ident:
+                x = tuple(act_vector(r, m) for r in x)
                 k += 1
             orders.append(k)
         assert sorted(orders) == [1, 2, 3, 3, 6, 6]
@@ -246,6 +246,43 @@ class TestCPSBuild:
         for variant in ("basic", "swap_reguli", "replace_plane"):
             assert len(list(cps_build(variant, limit=12, orbits=orbits))) > 0
         assert seen == Counter({False: 688 + 688 + 2580, True: 16 + 16 + 24})
+
+
+class TestOutputPins:
+    """The emitted codes and their order, as SHA-256 of their line ids."""
+
+    @staticmethod
+    def _sha(rows) -> str:
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "variant, n, sha",
+        [
+            ("basic", 8,
+             "d5c289ded89794ee36afe4e678acaade5411d70a30759929e0679d8c07969d2b"),
+            ("swap_reguli", 8,
+             "1d8a14f0a479b53687b520fecfd47f4a68521b77d58096b66b99f18a22cc31f2"),
+            ("replace_plane", 36,
+             "71328a7302fbdcaa1af8e0f55b606abfdb835ba08e2e310a530b9d23c98c8883"),
+        ],
+    )
+    def test_cps_build(self, orbits, variant, n, sha):
+        rows = [
+            (c.s1.line_ids, c.s2.line_ids, cfg.point_n, cfg.replaced_index)
+            for c, cfg in cps_build(variant, orbits=orbits)
+        ]
+        assert len(rows) == n
+        assert self._sha(rows) == sha
+
+    def test_hkk_build(self, gab):
+        rows = [
+            (r.code.s1.line_ids, r.code.s2.line_ids, r.config.p)
+            for r in hkk_build(limit=32, gab=gab)
+        ]
+        assert len(rows) == 32
+        assert self._sha(rows) == (
+            "62f78fde6126c3fd19d86ad65d2c07a515c90f4879a52cda48d1938d42d4d19b"
+        )
 
 
 class TestCPSCompletionCertificate:

@@ -9,7 +9,6 @@ from spreadcodes.spreads import (
     Spread,
     SpreadError,
     classify,
-    disjointness_graph,
     dual_spread,
     find_maximal_spreads,
     holes,
@@ -127,12 +126,12 @@ class TestSpreadBasics:
 
 class TestDisjointnessGraph:
     def test_regular_of_degree_112(self):
-        adj = disjointness_graph()
+        adj = tables().adjacency
         assert len(adj) == 155
         assert {m.bit_count() for m in adj} == {112}
 
     def test_irreflexive_symmetric(self):
-        adj = disjointness_graph()
+        adj = tables().adjacency
         for i, m in enumerate(adj):
             assert not m >> i & 1
             mm = m
@@ -260,20 +259,12 @@ class TestSearchModes:
             keys.append(tuple(sorted(s.line_ids)))
         assert keys == sorted(keys) and len(set(keys)) == 200
 
-    def test_seeded_shares_line_with_seed(self, reference_pairs):
-        s1, _ = reference_pairs[0]
-        seed_ids = set(s1.line_ids)
-        for s in itertools.islice(find_maximal_spreads("seeded", seed=s1), 100):
-            assert seed_ids & set(s.line_ids)
-
     def test_sample_deterministic(self):
         a = [s.key for s in find_maximal_spreads("sample", count=20, rng_seed=5)]
         b = [s.key for s in find_maximal_spreads("sample", count=20, rng_seed=5)]
         assert a == b and len(set(a)) == 20
 
     def test_mode_errors(self):
-        with pytest.raises(ValueError):
-            next(find_maximal_spreads("seeded"))
         with pytest.raises(ValueError):
             next(find_maximal_spreads("sample"))
         with pytest.raises(ValueError):
