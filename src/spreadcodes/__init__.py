@@ -32,7 +32,6 @@ from .spreads import (  # noqa: F401
     is_regulus,
     opposite_regulus,
     dual_spread,
-    find_maximal_spreads,
 )
 from .doubling import (  # noqa: F401
     DoublingCode,

@@ -22,7 +22,6 @@ from typing import Iterator, Optional, Sequence, Tuple
 from .doubling import DoublingCode, intersection_pattern, validate_doubling
 from .gf2geom import (
     Subspace,
-    act_subspace,
     act_vector,
     enumerate_subspaces,
     join,
@@ -35,10 +34,10 @@ from .spreads import (
     Spread,
     SpreadError,
     _is_regulus_ids,
+    _opposite_regulus_ids,
     classify,
     is_regulus,
     holes,
-    opposite_regulus,
     spread_from_planes,
     verify_regulus_free_extension,
 )
@@ -448,53 +447,57 @@ class CPSOrbits:
     good_plane_orbits: tuple
 
 
+def _disjoint(ids) -> bool:
+    """Are the lines with these ids pairwise disjoint?
+
+    A plane's id is its dual line's, and two planes of PG(4,2) meet in
+    exactly a point iff their dual lines are disjoint, so on plane ids this
+    asks whether the planes pairwise meet in a point.
+    """
+    adj = tables().adjacency
+    return all(adj[a] >> b & 1 for a, b in itertools.combinations(ids, 2))
+
+
+def _by_basis(subspaces, ids) -> list:
+    """The ids in canonical-basis order of ``subspaces[id]``, the order of
+    ``enumerate_subspaces``."""
+    return sorted(ids, key=lambda i: subspaces[i].basis)
+
+
 def cps_orbits(group: Optional[list] = None) -> CPSOrbits:
     """Orbits of the CPS group on lines and planes, with goodness tags.
 
     A size-6 line orbit is good iff its lines are pairwise disjoint; a
     size-6 plane orbit is good iff its planes pairwise meet in exactly a
-    point.
+    point.  The group acts on ids through ``Tables.image``; orbits and
+    their members come in canonical-basis order.
     """
     if group is None:
         group = cps_group()
-    lines = enumerate_subspaces(5, 2)
-    planes = enumerate_subspaces(5, 3)
+    t = tables()
 
-    def orbits_of(items):
+    def orbits_of(subspaces):
         seen = set()
         out = []
-        for s in items:
-            if s.basis in seen:
+        for i in _by_basis(subspaces, range(N_LINES)):
+            if i in seen:
                 continue
-            orb = sorted({act_subspace(s, m) for m in group})
-            seen.update(o.basis for o in orb)
-            out.append(tuple(orb))
-        return tuple(out)
+            orb = _by_basis(subspaces, {t.image(subspaces[i], m) for m in group})
+            seen.update(orb)
+            out.append(orb)
+        good = tuple(k for k, o in enumerate(out) if len(o) == 6 and _disjoint(o))
+        return tuple(tuple(subspaces[i] for i in o) for o in out), good
 
-    lorbs = orbits_of(lines)
-    porbs = orbits_of(planes)
-    good_l = tuple(
-        i
-        for i, o in enumerate(lorbs)
-        if len(o) == 6
-        and all(
-            (a.mask & b.mask) == 1 for a, b in itertools.combinations(o, 2)
-        )
-    )
-    good_p = tuple(
-        i
-        for i, o in enumerate(porbs)
-        if len(o) == 6
-        and all(
-            (a.mask & b.mask).bit_count() == 2
-            for a, b in itertools.combinations(o, 2)
-        )
-    )
+    lorbs, good_l = orbits_of(t.lines)
+    porbs, good_p = orbits_of(t.planes)
     return CPSOrbits(lorbs, porbs, good_l, good_p)
 
 
 @dataclass(frozen=True)
 class CPSConfig:
+    """One CPS code's ingredients, as ids of ``tables()``: a line by its
+    line id, a plane by the line id of its dual line."""
+
     variant: str
     line_orbit: tuple  # the 6 good-orbit lines (L1)
     plane_orbit: tuple  # the 6 good-orbit planes (P1)
@@ -505,28 +508,18 @@ class CPSConfig:
     replaced_index: Optional[int] = None
 
 
-def _completing_reguli(l1_lines):
-    """Regulus triples of lines disjoint from the 6 orbit lines, ascending
-    in line ids; the candidates are the AND of the orbit lines'
+def _completing_reguli(l1):
+    """Regulus triples of line ids disjoint from the 6 orbit line ids
+    ``l1``, ascending; the candidates are the AND of the orbit lines'
     ``adjacency`` rows."""
-    t = tables()
-    adj = t.adjacency
+    adj = tables().adjacency
     cand = (1 << N_LINES) - 1
-    for l in l1_lines:
-        cand &= adj[t.line_id[l.mask]]
+    for i in l1:
+        cand &= adj[i]
     ids = [i for i in range(N_LINES) if cand >> i & 1]
     for a, b, c in itertools.combinations(ids, 3):
         if adj[a] >> b & 1 and (adj[a] & adj[b]) >> c & 1 and _is_regulus_ids(a, b, c):
-            yield t.lines[a], t.lines[b], t.lines[c]
-
-
-def _meet_in_points(planes) -> bool:
-    """Do planes 7-9 meet every earlier plane in one point?  With 1-6 a good
-    plane orbit, that holds iff the 9 dual lines are pairwise disjoint."""
-    return all(
-        (planes[k].mask & planes[j].mask).bit_count() == 2
-        for k in range(6, 9) for j in range(k)
-    )
+            yield a, b, c
 
 
 def cps_build(
@@ -555,63 +548,56 @@ def cps_build(
         raise ValueError(f"unknown variant {variant!r}")
     if orbits is None:
         orbits = cps_orbits()
-    all_planes = enumerate_subspaces(5, 3)
+    t = tables()
+    plane_orbits = [
+        tuple(t.plane_id[p.mask] for p in orbits.plane_orbits[i])
+        for i in orbits.good_plane_orbits
+    ]
     emitted = 0
     for li in orbits.good_line_orbits:
-        l1 = orbits.line_orbits[li]
+        l1 = tuple(t.line_id[l.mask] for l in orbits.line_orbits[li])
         for r2 in _completing_reguli(l1):
-            r1 = opposite_regulus(r2)
+            r1 = _opposite_regulus_ids(r2)
             if variant == "swap_reguli":
                 spread_part, plane_part = r1, r2
             else:
                 spread_part, plane_part = r2, r1
             # r2 is disjoint from l1, and r1 covers the same 9 points of
             # the carrier solid as r2: either completes l1 to a spread
-            s1 = Spread(tuple(l1) + tuple(spread_part))
-            if variant == "replace_plane":
-                carrier = join(join(r1[0], r1[1]), r1[2])
+            s1 = Spread.from_line_ids(l1 + spread_part)
+            # a plane lies in the carrier solid iff its dual line holds the
+            # solid's dual point
+            carrier_point = int(t.join_solid[r1[0], r1[1]]) + 1
             covered = 0
-            for l in plane_part:
-                covered |= l.mask
+            for i in plane_part:
+                covered |= t.lines[i].mask
             for n in range(1, 32):
                 if covered >> n & 1:
                     continue
-                base_planes = tuple(
-                    Subspace(l.basis + (n,), 5) for l in plane_part
+                base = tuple(
+                    t.plane_id[span_mask(t.lines[i].basis + (n,))] for i in plane_part
                 )
                 if variant in ("basic", "swap_reguli"):
-                    choices = [(None, base_planes)]
+                    choices = [(None, base)]
                 else:
                     choices = []
                     for k in range(3):
-                        for alt in all_planes:
-                            if (
-                                (r1[k].mask & ~alt.mask) == 0
-                                and alt != base_planes[k]
-                                and (alt.mask & ~carrier.mask) != 0
-                            ):
-                                ps = list(base_planes)
-                                ps[k] = alt
-                                choices.append((k, tuple(ps)))
-                for pi in orbits.good_plane_orbits:
-                    p1 = orbits.plane_orbits[pi]
+                        # plane j holds line r1[k] iff line j lies in plane
+                        # r1[k], as orthogonality is symmetric
+                        inside = t.plane_lines[r1[k]]
+                        through = [j for j in range(N_LINES) if inside >> j & 1]
+                        for alt in _by_basis(t.planes, through):
+                            if alt != base[k] and not t.lines[alt].mask >> carrier_point & 1:
+                                choices.append((k, base[:k] + (alt,) + base[k + 1 :]))
+                for p1 in plane_orbits:
                     for replaced, pset in choices:
-                        planes = tuple(p1) + pset
-                        if not _meet_in_points(planes):
+                        planes = p1 + pset
+                        if not _disjoint(planes):
                             continue
-                        s2 = spread_from_planes(planes)
+                        s2 = Spread.from_line_ids(planes)
                         if not validate_doubling(s1, s2).optimal:
                             continue
-                        cfg = CPSConfig(
-                            variant,
-                            tuple(l1),
-                            tuple(p1),
-                            tuple(r1),
-                            tuple(r2),
-                            n,
-                            pset,
-                            replaced,
-                        )
+                        cfg = CPSConfig(variant, l1, p1, r1, r2, n, pset, replaced)
                         yield DoublingCode(s1, s2), cfg
                         emitted += 1
                         if limit is not None and emitted >= limit:

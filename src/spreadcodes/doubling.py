@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2geom import Subspace, act_subspace, subspace_distance
+from .gf2geom import Subspace, subspace_distance
 from .pg42 import N_LINES, tables
 from .spreads import (
     Spread,
@@ -338,9 +338,7 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 def _line_permutation(m) -> np.ndarray:
     """perm[i] is the line id of the image of line i under the matrix ``m``."""
     t = tables()
-    return np.array(
-        [t.line_id[act_subspace(l, m).mask] for l in t.lines], dtype=np.int16
-    )
+    return np.array([t.image(l, m) for l in t.lines], dtype=np.int16)
 
 
 def _certify_orbit(rows: np.ndarray) -> None:

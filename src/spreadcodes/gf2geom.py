@@ -25,7 +25,6 @@ __all__ = [
     "join",
     "dual",
     "act_vector",
-    "act_subspace",
     "subspace_distance",
     "enumerate_subspaces",
     "parse_point",
@@ -223,11 +222,6 @@ def act_vector(v: int, m) -> int:
             out ^= row
         v >>= 1
     return out
-
-
-def act_subspace(s: Subspace, m) -> Subspace:
-    """Image of a subspace under the invertible matrix ``m`` (row vectors)."""
-    return Subspace([act_vector(v, m) for v in s.basis], s.n)
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:

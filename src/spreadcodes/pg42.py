@@ -1,16 +1,20 @@
 """Precomputed incidence tables for PG(4,2).
 
 Everything here is derived once from the canonical line enumeration and
-shared read-only by the search and census code.  Line IDs are indices into
-``enumerate_subspaces(5, 2)``; a plane is indexed by the ID of its dual
-line, and a solid by the ID of its dual point (point value minus one).
-The duals of lines and of planes are read from ``planes`` and ``plane_id``.
+shared read-only by the search, census and construction code.  Line IDs
+are indices into ``enumerate_subspaces(5, 2)``; a plane is indexed by the
+ID of its dual line, and a solid by the ID of its dual point (point value
+minus one).  The duals of lines and of planes are read from ``planes`` and
+``plane_id``.
 
 A line is found by its point mask (``1 | 1 << a | 1 << b | 1 << (a ^ b)`` for
 two of its points a, b; bit 0 stands for the zero vector) in ``line_id``,
-which the spread-file parser reads without building a subspace.  The lines
-inside each plane are one 155-bit int per plane in ``plane_lines``, so
-"no line of a set lies in any plane of another" is a single AND.
+which the spread-file parser reads without building a subspace; a plane is
+found by its point mask in ``plane_id``.  ``Tables.image`` maps a line or
+plane to the ID of its image under a matrix through the same lookups, so a
+group acts on IDs.  The lines inside each plane are one 155-bit int per
+plane in ``plane_lines``, so "no line of a set lies in any plane of
+another" is a single AND.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import threading
 
 import numpy as np
 
-from .gf2geom import dot, dual, enumerate_subspaces
+from .gf2geom import Subspace, act_vector, dot, dual, enumerate_subspaces
 
 __all__ = ["Tables", "tables"]
 
@@ -32,9 +36,9 @@ class Tables:
     """Incidence tables for the lines/planes/solids of PG(4,2).
 
     ``line_id`` maps a line's point mask to its ID; ``planes[i]`` is the
-    dual of line i and ``plane_id`` maps each plane back to i; bit k of
-    ``plane_lines[j]`` is set iff line k lies in plane j, and ``perp`` is
-    the same incidence as a (line, plane) boolean array.
+    dual of line i and ``plane_id`` maps that plane's point mask back to i;
+    bit k of ``plane_lines[j]`` is set iff line k lies in plane j, and
+    ``perp`` is the same incidence as a (line, plane) boolean array.
     """
 
     def __init__(self):
@@ -46,7 +50,7 @@ class Tables:
 
         # dual planes: plane i is the orthogonal complement of line i
         self.planes = tuple(dual(l) for l in lines)
-        self.plane_id = {p: i for i, p in enumerate(self.planes)}
+        self.plane_id = {p.mask: i for i, p in enumerate(self.planes)}
         self.plane_mask_sorted = np.sort(
             np.array([p.mask for p in enumerate_subspaces(5, 3)], dtype=np.uint32)
         )
@@ -101,6 +105,15 @@ class Tables:
             perp[list(inside), j] = True
         self.plane_lines = tuple(plane_lines)
         self.perp = perp
+
+    def image(self, s: Subspace, m) -> int:
+        """The ID of the image of the line or plane ``s`` under the invertible
+        int-row matrix ``m`` (see ``gf2geom.act_vector``): the image's point
+        mask, looked up in ``line_id`` or ``plane_id``."""
+        mask = 1
+        for v in s.points():
+            mask |= 1 << act_vector(v, m)
+        return (self.line_id if s.dim == 2 else self.plane_id)[mask]
 
 
 _lock = threading.Lock()

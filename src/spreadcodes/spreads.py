@@ -21,9 +21,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "holes",
     "opposite_regulus",
     "dual_spread",
-    "find_maximal_spreads",
     "verify_regulus_free_extension",
     "all_spread_line_ids",
     "classify_all",
@@ -49,7 +47,6 @@ __all__ = [
 ]
 
 _TRIPLES = tuple(itertools.combinations(range(9), 3))
-_TRIPLE_ID = {t: i for i, t in enumerate(_TRIPLES)}
 _TRIPLE_I, _TRIPLE_J, _TRIPLE_K = np.array(_TRIPLES).T
 
 
@@ -247,22 +244,29 @@ def classify(s: Spread) -> SpreadType:
 
 
 def opposite_regulus(lines3: Sequence[Subspace]) -> tuple:
-    """The 3 transversals of a regulus (lines meeting all three of it).
+    """The 3 transversals of a regulus (lines meeting all three of it),
+    ascending in line id."""
+    l1, l2, l3 = lines3
+    if not is_regulus(l1, l2, l3):
+        raise ValueError("not a regulus")
+    lines = tables().lines
+    return tuple(lines[i] for i in _opposite_regulus_ids(_line_ids(lines3)))
+
+
+def _opposite_regulus_ids(ids) -> tuple:
+    """Ids of the transversals of the regulus with line ids ``ids``.
 
     A line meets line i iff it is not in ``adjacency[i]``; the AND of the
     three complemented rows leaves out the three lines themselves, as each
     is disjoint from the other two.  Ascending line id.
     """
-    l1, l2, l3 = lines3
-    if not is_regulus(l1, l2, l3):
-        raise ValueError("not a regulus")
-    t = tables()
+    adj = tables().adjacency
     meet = (1 << N_LINES) - 1
-    for i in _line_ids(lines3):
-        meet &= ~t.adjacency[i]
+    for i in ids:
+        meet &= ~adj[i]
     if meet.bit_count() != 3:
         raise SpreadAnomaly(f"regulus with {meet.bit_count()} transversals")
-    return tuple(t.lines[i] for i in range(N_LINES) if meet >> i & 1)
+    return tuple(i for i in range(N_LINES) if meet >> i & 1)
 
 
 def dual_spread(s: Spread) -> tuple:
@@ -273,11 +277,13 @@ def dual_spread(s: Spread) -> tuple:
 
 def spread_from_planes(planes: Sequence[Subspace]) -> Spread:
     """The spread whose lines are the duals of the given 9 planes, looked up
-    in ``tables().plane_id``; SpreadError if one is not a plane of PG(4,2)."""
-    ids = list(map(tables().plane_id.get, planes))
-    if None in ids:
-        raise SpreadError(f"not a plane of PG(4,2): {planes[ids.index(None)]!r}")
-    return Spread.from_line_ids(ids)
+    by point mask in ``tables().plane_id``; SpreadError if one is not a
+    plane of PG(4,2)."""
+    plane_id = tables().plane_id
+    for p in planes:
+        if p.n != 5 or p.mask not in plane_id:
+            raise SpreadError(f"not a plane of PG(4,2): {p!r}")
+    return Spread.from_line_ids([plane_id[p.mask] for p in planes])
 
 
 def _clique_extend(adj, cur, cand):
@@ -295,54 +301,6 @@ def _clique_extend(adj, cur, cand):
         cur.append(j)
         yield from _clique_extend(adj, cur, c & adj[j])
         cur.pop()
-
-
-def find_maximal_spreads(
-    mode: str = "exhaustive",
-    count: Optional[int] = None,
-    rng_seed: Optional[int] = None,
-) -> Iterator[Spread]:
-    """Stream size-9 spreads found by clique search on the disjointness graph.
-
-    * ``exhaustive``: every size-9 spread exactly once, lexicographic in
-      line IDs.
-    * ``sample``: ``count`` distinct spreads from randomized greedy clique
-      completions, deterministic for a fixed ``rng_seed``.
-    """
-    t = tables()
-    adj = t.adjacency
-    full = (1 << N_LINES) - 1
-    if mode == "exhaustive":
-        for ids in _clique_extend(adj, [], full):
-            yield Spread.from_line_ids(ids)
-    elif mode == "sample":
-        if count is None:
-            raise ValueError("sample mode requires a count")
-        rng = random.Random(rng_seed)
-        emitted = set()
-        attempts = 0
-        while len(emitted) < count:
-            attempts += 1
-            if attempts > 1000 * (count + 10):
-                raise RuntimeError("sampling failed to reach requested count")
-            cur, cand = [], full
-            while cand and len(cur) < 9:
-                choices = []
-                c = cand
-                while c:
-                    j = (c & -c).bit_length() - 1
-                    c ^= 1 << j
-                    choices.append(j)
-                j = rng.choice(choices)
-                cur.append(j)
-                cand &= adj[j]
-            if len(cur) == 9:
-                key = tuple(sorted(cur))
-                if key not in emitted:
-                    emitted.add(key)
-                    yield Spread.from_line_ids(cur)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
 
 def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -> bool:
@@ -373,7 +331,7 @@ def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -
     if any(_is_regulus_ids(*t) for t in itertools.combinations(ids, 3)):
         return False
     t = tables()
-    inside = t.plane_lines[t.plane_id[plane]]
+    inside = t.plane_lines[t.plane_id[plane.mask]]
     return all(
         classify(Spread.from_line_ids(ids + [k])).tag == "X"
         for k in range(N_LINES)
@@ -428,7 +386,6 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     m = len(arr)
     counts = np.zeros((m, 9), dtype=np.int8)
     n_reguli = np.zeros(m, dtype=np.int8)
-    # remember per-spread which count-2 triple to re-test for type E
     for i, j, k in _TRIPLES:
         r = _is_regulus_ids(arr[:, i], arr[:, j], arr[:, k])
         n_reguli += r
@@ -449,17 +406,10 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     if rest.size:
         if not (mx[rest] == 2).all():
             raise SpreadAnomaly("bulk classification: unexpected count multiset")
+        # type E iff the lines at the three count-2 positions form a regulus
         pos3 = np.nonzero(counts[rest] == 2)[1].reshape(-1, 3)
-        tids = np.fromiter(
-            (_TRIPLE_ID[tuple(row)] for row in pos3), dtype=np.int16, count=len(pos3)
-        )
-        # re-evaluate exactly the candidate triple per remaining spread
-        is_e = np.zeros(rest.size, dtype=bool)
-        for tid in np.unique(tids):
-            i, j, k = _TRIPLES[tid]
-            sel = rest[tids == tid]
-            is_e[tids == tid] = _is_regulus_ids(arr[sel, i], arr[sel, j], arr[sel, k])
-        types[rest[is_e]] = 1
+        a, b, c = np.take_along_axis(arr[rest], pos3, axis=1).T
+        types[rest[_is_regulus_ids(a, b, c)]] = 1
     return BulkClassification(arr, n_reguli, counts, types, common_pos)
 
 

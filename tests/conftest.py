@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from spreadcodes import corpus
 from spreadcodes.constructions import cps_orbits
 from spreadcodes.gf2geom import dual, enumerate_subspaces
+from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import Spread, classify, is_regulus
 
 
@@ -17,6 +19,32 @@ def pytest_configure(config):
 @pytest.fixture(scope="session")
 def reference_pairs():
     return corpus.pairs()
+
+
+def _sample_spreads(count: int, seed: int) -> list:
+    """``count`` distinct spreads from randomized greedy clique completions
+    on the line-disjointness graph, in the order found; the same list for
+    the same ``seed``."""
+    adj = tables().adjacency
+    rng = random.Random(seed)
+    keys, out = set(), []
+    while len(out) < count:
+        cur, cand = [], (1 << N_LINES) - 1
+        while cand and len(cur) < 9:
+            j = rng.choice([k for k in range(N_LINES) if cand >> k & 1])
+            cur.append(j)
+            cand &= adj[j]
+        key = tuple(sorted(cur))
+        if len(cur) == 9 and key not in keys:
+            keys.add(key)
+            out.append(Spread.from_line_ids(cur))
+    return out
+
+
+@pytest.fixture(scope="session")
+def sample_spreads():
+    """The seeded spread sampler ``sample_spreads(count, seed)``."""
+    return _sample_spreads
 
 
 @pytest.fixture(scope="session")

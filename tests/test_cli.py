@@ -291,3 +291,56 @@ class TestVerifyPaper:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 5
         assert all(l.endswith("ok") for l in out)
+
+
+class TestOutputPins:
+    """SHA-256 of the exit code and stdout of fixed commands, so that any
+    change to their output is a test failure."""
+
+    @staticmethod
+    def _sha(capsys, argv) -> str:
+        rc = cli.main(argv)
+        return hashlib.sha256(f"{rc}\n{capsys.readouterr().out}".encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "argv, sha",
+        [
+            (["verify-paper"],
+             "d5bca078674d1709ee5f2a429a4383cc4b534ea616e0a1f9076da8afc9b39e42"),
+            (["cps", "--variant", "basic", "--format", "json"],
+             "b16ec647edb7af8d2930ee3a76da74b126d87b0266233e29dcb605f49a6b1ee8"),
+            (["cps", "--variant", "swap_reguli", "--format", "json"],
+             "f19274b4f05c7c24fa18212f85a17321842719ed7e6f3852bedc3fc76901ce4d"),
+            (["cps", "--variant", "replace_plane", "--format", "json"],
+             "c2adb0f50f16ce27fde08b5d9085d726138c4442e106c62559652a6bbc101e84"),
+            (["hkk", "--limit", "32", "--format", "json"],
+             "c1b22aa65307cb942041265ac8191742b35481b12a31ed0b624c54f3fe9cd2df"),
+        ],
+    )
+    def test_command(self, capsys, argv, sha):
+        assert self._sha(capsys, argv) == sha
+
+    @pytest.mark.parametrize(
+        "n, text_sha, json_sha",
+        [
+            (1, "bda98c62710b7cc12f87ac425e593c02838f7255b432624210bbc96ab78be04c",
+             "4b3cff27cf281e882f658373386f5c382f938ae78e2803f30a24b286ffc81676"),
+            (2, "005283d174d4d6c2003cefb7efeeb532d03156c049808fb2415f7adecda6ee4c",
+             "4cfe4fac8a68a3043730a2f124308c9dd4aef996484aa0e6c2d5bc2e6382826d"),
+            (3, "e9e88b34b6f5c4eee813a608c1ec6ab5534ade553def6ec9a62659968b39d54c",
+             "bdc2ebfb0476137edff7d58aaa638c0ca305462729ec4b420bd225e13f63d8cd"),
+            (4, "7d30f83bdfd50376550ed24e9d1f3a388c102f279657f7fb4bd9538094af260f",
+             "f24801d66fc430c9fb365230677e2f0bb94aa093a865ebcffed5c42e5b624776"),
+            (5, "997f47dc79c8b5e27436469511af9253f04f21c0cd5b18fe400262cc1edd9f4e",
+             "3b64908968acdd2cb679e6a9297bbb1d505f4951e664395fbe1dd01b44830237"),
+        ],
+    )
+    def test_doubling_corpus_pair(self, tmp_path, capsys, n, text_sha, json_sha):
+        """``doubling`` on corpus pair n, its two spreads in two files."""
+        files = []
+        for k, s in enumerate(corpus.pair(n)):
+            files.append(tmp_path / f"s{k + 1}.txt")
+            files[-1].write_text(format_spreads([s]))
+        argv = ["doubling", str(files[0]), str(files[1])]
+        assert self._sha(capsys, argv) == text_sha
+        assert self._sha(capsys, argv + ["--format", "json"]) == json_sha

@@ -21,10 +21,10 @@ from spreadcodes.constructions import (
 )
 from spreadcodes.doubling import min_distance, validate_doubling
 from spreadcodes.gf2geom import Subspace, act_vector, subspace_distance
+from spreadcodes.pg42 import tables
 from spreadcodes.spreads import (
     SpreadError,
     classify,
-    find_maximal_spreads,
     is_regulus,
     spread_from_planes,
 )
@@ -224,25 +224,25 @@ class TestCPSBuild:
     def test_limit_respected(self, orbits):
         assert len(list(cps_build("basic", limit=3, orbits=orbits))) == 3
 
-    def test_meet_in_a_point_precheck_matches_spread_from_planes(
-        self, orbits, monkeypatch
-    ):
-        """The pre-check accepts exactly the plane sets with a dual spread."""
-        check = constructions._meet_in_points
+    def test_disjoint_precheck_matches_spread_from_planes(self, orbits, monkeypatch):
+        """The pre-check on the 9 plane ids accepts exactly the plane sets
+        with a dual spread."""
+        check = constructions._disjoint
+        planes_of = tables().planes
         seen = Counter()
 
-        def record(planes):
-            ok = check(planes)
+        def record(ids):
+            ok = check(ids)
             try:
-                spread_from_planes(planes)
+                spread_from_planes([planes_of[i] for i in ids])
                 built = True
             except SpreadError:
                 built = False
-            assert ok == built, planes
+            assert ok == built, ids
             seen[ok] += 1
             return ok
 
-        monkeypatch.setattr(constructions, "_meet_in_points", record)
+        monkeypatch.setattr(constructions, "_disjoint", record)
         for variant in ("basic", "swap_reguli", "replace_plane"):
             assert len(list(cps_build(variant, limit=12, orbits=orbits))) > 0
         assert seen == Counter({False: 688 + 688 + 2580, True: 16 + 16 + 24})
@@ -306,7 +306,9 @@ class TestCPSCompletionCertificate:
                     }
                 )
 
-    def test_idelta_minus_regulus_has_uneven_regulus_counts(self, cps_good_orbits):
+    def test_idelta_minus_regulus_has_uneven_regulus_counts(
+        self, cps_good_orbits, sample_spreads
+    ):
         # A group transitive on a good orbit gives each of its lines the
         # same number of reguli inside the orbit ...
         for o in cps_good_orbits["line"] + cps_good_orbits["plane"]:
@@ -316,8 +318,7 @@ class TestCPSCompletionCertificate:
             ]
             assert len(set(inner)) == 1
         # ... while an IDelta spread minus any of its reguli never does.
-        sample = find_maximal_spreads("sample", count=400, rng_seed=1)
-        idelta = [st for st in map(classify, sample) if st.tag == "IDelta"]
+        idelta = [st for st in map(classify, sample_spreads(400, 1)) if st.tag == "IDelta"]
         assert len(idelta) >= 200
         for st in idelta:
             for r in st.reguli:

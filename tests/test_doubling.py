@@ -28,7 +28,6 @@ from spreadcodes.spreads import (
     SpreadAnomaly,
     classify,
     dual_spread,
-    find_maximal_spreads,
     holes,
 )
 
@@ -36,11 +35,11 @@ TAGS = ("X", "E", "IDelta")
 
 
 @pytest.fixture(scope="module")
-def typed_db(reference_pairs):
+def typed_db(reference_pairs, sample_spreads):
     """Twenty sampled spreads of each type, two corpus pairs and a CPS
     (X,E) pair, so that every type pair has both verdicts among its pairs."""
     by_tag = {tag: [] for tag in TAGS}
-    for s in find_maximal_spreads("sample", count=400, rng_seed=3):
+    for s in sample_spreads(400, 3):
         group = by_tag[classify(s).tag]
         if len(group) < 20:
             group.append(s)

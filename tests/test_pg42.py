@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from spreadcodes.gf2geom import dot, enumerate_subspaces, rref
+from spreadcodes import doubling
+from spreadcodes.constructions import cps_group
+from spreadcodes.gf2geom import Subspace, act_vector, dot, enumerate_subspaces, rref
 from spreadcodes.pg42 import N_LINES, tables
 
 
@@ -28,8 +30,18 @@ class TestTables:
     def test_plane_id_inverts_planes(self):
         t = tables()
         for p in enumerate_subspaces(5, 3):
-            assert t.planes[t.plane_id[p]] == p
+            assert t.planes[t.plane_id[p.mask]] == p
         assert len(t.plane_id) == N_LINES
+
+    def test_image_matches_rref_oracle(self):
+        """``image`` on every line and plane, under the CPS group and the
+        GL(5,2) generators, against the image subspace built by rref."""
+        t = tables()
+        for m in cps_group() + list(doubling._GENERATORS):
+            for table in (t.lines, t.planes):
+                for s in table:
+                    want = Subspace([act_vector(v, m) for v in s.basis], 5)
+                    assert table[t.image(s, m)] == want
 
     def test_join_solid(self):
         t = tables()

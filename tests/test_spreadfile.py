@@ -11,7 +11,6 @@ from spreadcodes.spreadfile import (
     load_spread_file,
     parse_spread_text,
 )
-from spreadcodes.spreads import find_maximal_spreads
 
 
 def _line_from_tokens(tokens, lineno: int) -> Subspace:
@@ -102,8 +101,8 @@ class TestTableParserOracle:
         _same_outcome(text)
         assert len(parse_spread_text(text)) == 2 * corpus.N_PAIRS
 
-    def test_sampled_spreads(self):
-        spreads = list(find_maximal_spreads("sample", count=200, rng_seed=23))
+    def test_sampled_spreads(self, sample_spreads):
+        spreads = sample_spreads(200, 23)
         text = format_spreads(spreads)
         assert parse_spread_text(text) == spreads
         _same_outcome(text)

@@ -8,9 +8,10 @@ from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import (
     Spread,
     SpreadError,
+    _clique_extend,
     classify,
+    classify_all,
     dual_spread,
-    find_maximal_spreads,
     holes,
     is_regulus,
     opposite_regulus,
@@ -53,9 +54,9 @@ class TestSpreadBasics:
         with pytest.raises(SpreadError):
             Spread(s1.lines[:8])
 
-    def test_from_line_ids_agrees_with_lines(self, reference_pairs):
+    def test_from_line_ids_agrees_with_lines(self, reference_pairs, sample_spreads):
         spreads = [s for pair in reference_pairs for s in pair]
-        spreads += list(find_maximal_spreads("sample", count=40, rng_seed=5))
+        spreads += sample_spreads(40, 5)
         lines = tables().lines
         for s in spreads:
             a = Spread([Subspace(l.basis, 5) for l in s.lines])
@@ -171,9 +172,9 @@ class TestReguli:
         s1_5, _ = reference_pairs[4]
         assert reguli(s1_5) == ((0, 6, 8), (1, 7, 8), (2, 4, 8), (3, 5, 8))
 
-    def test_table_lookup_matches_rank_oracle(self, reference_pairs):
+    def test_table_lookup_matches_rank_oracle(self, reference_pairs, sample_spreads):
         spreads = [s for pair in reference_pairs for s in pair]
-        spreads += find_maximal_spreads(mode="sample", count=200, rng_seed=4)
+        spreads += sample_spreads(200, 4)
         tags = set()
         for s in spreads:
             assert reguli(s) == rank_four_reguli(s)
@@ -228,9 +229,9 @@ class TestClassify:
         assert st_e.distinguished == (6, 7, 8)
         assert classify(Spread(rest + [s1.lines[i] for i in t])).tag == "X"
 
-    def test_regulus_swap_preserves_idelta(self):
+    def test_regulus_swap_preserves_idelta(self, sample_spreads):
         found = None
-        for s in find_maximal_spreads("sample", count=200, rng_seed=42):
+        for s in sample_spreads(200, 42):
             st = classify(s)
             if st.tag == "IDelta":
                 found = (s, st)
@@ -242,9 +243,9 @@ class TestClassify:
         rest = [s.lines[i] for i in range(9) if i not in t]
         assert classify(Spread(rest + list(opp))).tag == "IDelta"
 
-    def test_all_three_types_reachable(self):
+    def test_all_three_types_reachable(self, sample_spreads):
         seen = set()
-        for s in find_maximal_spreads("sample", count=300, rng_seed=1):
+        for s in sample_spreads(300, 1):
             seen.add(classify(s).tag)
             if len(seen) == 3:
                 break
@@ -253,22 +254,15 @@ class TestClassify:
 
 class TestSearchModes:
     def test_exhaustive_prefix_valid_and_ordered(self):
+        """The clique generator behind ``all_spread_line_ids``."""
+        full = (1 << N_LINES) - 1
+        cliques = _clique_extend(tables().adjacency, [], full)
         keys = []
-        for s in itertools.islice(find_maximal_spreads("exhaustive"), 200):
+        for ids in itertools.islice(cliques, 200):
+            s = Spread.from_line_ids(ids)
             assert classify(s).tag in ("X", "E", "IDelta")
             keys.append(tuple(sorted(s.line_ids)))
         assert keys == sorted(keys) and len(set(keys)) == 200
-
-    def test_sample_deterministic(self):
-        a = [s.key for s in find_maximal_spreads("sample", count=20, rng_seed=5)]
-        b = [s.key for s in find_maximal_spreads("sample", count=20, rng_seed=5)]
-        assert a == b and len(set(a)) == 20
-
-    def test_mode_errors(self):
-        with pytest.raises(ValueError):
-            next(find_maximal_spreads("sample"))
-        with pytest.raises(ValueError):
-            next(find_maximal_spreads("bogus"))
 
 
 class TestDualSpread:
@@ -280,9 +274,9 @@ class TestDualSpread:
             assert (a.mask & b.mask).bit_count() == 2
         assert spread_from_planes(planes) == s1
 
-    def test_table_lookup_matches_dual_oracle(self, reference_pairs):
+    def test_table_lookup_matches_dual_oracle(self, reference_pairs, sample_spreads):
         spreads = [s for pair in reference_pairs for s in pair]
-        spreads += find_maximal_spreads(mode="sample", count=200, rng_seed=5)
+        spreads += sample_spreads(200, 5)
         assert {classify(s).tag for s in spreads} == {"X", "E", "IDelta"}
         for s in spreads:
             planes = tuple(dual(l) for l in s.lines)
@@ -332,6 +326,24 @@ class TestRegulusFreeExtension:
         s1, _ = reference_pairs[0]
         with pytest.raises(ValueError):
             verify_regulus_free_extension(s1.lines, dual_spread(s1)[0])
+
+
+class TestClassifyAll:
+    def test_agrees_with_scalar(self, reference_pairs, sample_spreads):
+        """``classify_all`` on the corpus and sampled spreads of all three
+        types against object-level ``classify``, row by row."""
+        spreads = [s for pair in reference_pairs for s in pair]
+        spreads += sample_spreads(200, 4)
+        bulk = classify_all(np.array([s.line_ids for s in spreads], dtype=np.int16))
+        tags = []
+        for k, s in enumerate(spreads):
+            st = classify(s)
+            tags.append(st.tag)
+            assert bulk.TAGS[bulk.types[k]] == st.tag
+            assert tuple(bulk.counts[k]) == st.counts
+            assert bulk.common_pos[k] == (st.common_index if st.tag == "X" else -1)
+        assert set(tags) == {"X", "E", "IDelta"}
+        assert (bulk.n_reguli == 4).all()
 
 
 @pytest.mark.slow
