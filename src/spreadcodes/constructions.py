@@ -3,7 +3,9 @@
 HKK pipeline: lift a rank-distance-2 Gabidulin code of 3x3 matrices to 64
 planes of PG(5,2), pick a shortening point P and hyperplane H together
 with two extra planes E (through P) and E' (inside H), shorten everything
-to PG(4,2), and read the result as 9 lines plus 9 planes.
+to PG(4,2), and read the result as 9 lines plus 9 planes.  E and E' both
+come from the 99 planes of PG(5,2) that meet every codeword in at most a
+point (subspace distance >= 4).
 
 CPS pipeline: a fixed order-6 matrix group G acting on PG(4,2); a good
 line orbit (6 pairwise-disjoint lines) completed by a regulus gives the
@@ -27,7 +29,6 @@ from .gf2geom import (
     join,
     rref,
     span_mask,
-    subspace_distance,
 )
 from .pg42 import N_LINES, tables
 from .spreads import (
@@ -185,23 +186,20 @@ class HKKConfig:
     e_prime: Subspace
 
 
-def _far_from(plane: Subspace, others, lower: int = 4) -> bool:
-    return all(subspace_distance(plane, c) >= lower for c in others)
+def _far(a: int, b: int) -> bool:
+    """Are the planes of PG(5,2) with point masks ``a`` and ``b`` at subspace
+    distance >= 4?  The distance is 6 - 2 dim(a ∩ b), so they must meet in
+    at most a point: at most two set bits (zero and a point) in common."""
+    return (a & b).bit_count() <= 2
 
 
-def _planes_through_line(line_pts, ambient_mask, n=6):
-    """Canonical, sorted planes spanned by the given line and a point of
-    the masked region."""
-    out = set()
-    base = rref(line_pts)
-    lm = span_mask(base)
-    m = ambient_mask & ~lm & ~1
-    while m:
-        low = m & -m
-        w = low.bit_length() - 1
-        m ^= low
-        out.add(rref(base + (w,)))
-    return [Subspace(b, n) for b in sorted(out)]
+def _far_planes(gab: LiftedGabidulinCode) -> tuple:
+    """The 99 planes of PG(5,2) far from every Gabidulin codeword, in
+    canonical-basis order (the order of ``enumerate_subspaces``)."""
+    cw = [c.mask for c in gab.codewords]
+    return tuple(
+        e for e in enumerate_subspaces(6, 3) if all(_far(e.mask, c) for c in cw)
+    )
 
 
 def hkk_configs(
@@ -211,6 +209,11 @@ def hkk_configs(
 ) -> Iterator[HKKConfig]:
     """Enumerate valid HKK configurations.
 
+    Every candidate comes from one list, the 99 planes far from the
+    Gabidulin code: E runs over those through p, E' over those inside h
+    that contain special ∩ h, and a pair is valid iff E and E' are far
+    from each other.
+
     Deterministic order: p ascending, h ascending (canonical hyperplane
     order), then e_prime ascending, e ascending.  Mode ``first`` emits the
     first-fit (e_prime, e) per (p, h); ``all`` emits every valid pair.
@@ -219,50 +222,30 @@ def hkk_configs(
         raise ValueError(f"unknown mode {mode!r}")
     if gab is None:
         gab = build_lifted_gabidulin()
-    cw = gab.codewords
+    far = _far_planes(gab)
     sm = gab.special_plane.mask
     emitted = 0
     for p in range(1, 64):
         if sm >> p & 1:
             continue
-        # planes through p (spanned by p and two other points); they do
-        # not depend on h
-        es_all = [e for e in _planes_through_pairs(p) if _far_from(e, cw)]
+        es = [e for e in far if e.mask >> p & 1]
         for h in enumerate_subspaces(6, 5):
             hm = h.mask
             if (sm & ~hm) == 0 or hm >> p & 1:
                 continue
-            l2 = [v for v in gab.special_plane.points() if hm >> v & 1]
-            e_primes = [
-                ep
-                for ep in _planes_through_line(tuple(l2), hm)
-                if _far_from(ep, cw)
-            ]
-            for ep in e_primes:
-                found_any = False
-                for e in es_all:
-                    if subspace_distance(e, ep) >= 4:
-                        yield HKKConfig(p, h, e, ep)
-                        emitted += 1
-                        found_any = True
-                        if limit is not None and emitted >= limit:
-                            return
-                        if mode == "first":
-                            break
-                if mode == "first" and found_any:
-                    break
-
-
-def _planes_through_pairs(p: int):
-    out = set()
-    for w1 in range(1, 64):
-        if w1 == p:
-            continue
-        for w2 in range(w1 + 1, 64):
-            b = rref((p, w1, w2))
-            if len(b) == 3:
-                out.add(b)
-    return [Subspace(b, 6) for b in sorted(out)]
+            l2 = sm & hm
+            valid = (
+                HKKConfig(p, h, e, ep)
+                for ep in far
+                if not (ep.mask & ~hm or l2 & ~ep.mask)
+                for e in es
+                if _far(e.mask, ep.mask)
+            )
+            for cfg in itertools.islice(valid, 1 if mode == "first" else None):
+                yield cfg
+                emitted += 1
+                if limit is not None and emitted >= limit:
+                    return
 
 
 @dataclass(frozen=True)
@@ -284,8 +267,10 @@ def hkk_build(
     The nine lines are the 8 shortened Gabidulin codewords through P plus
     the image of E ∩ H (stored last); the nine planes are the 8 kept
     Gabidulin codewords plus the image of E' (stored last).  Only codes
-    that validate optimal are emitted; ``stats['discarded']`` counts the
-    rest when a dict is supplied.
+    that form two spreads and validate optimal are emitted;
+    ``stats['discarded']`` counts the rest when a dict is supplied.  With
+    E and E' drawn from the 99 far planes none is discarded: all 56,448
+    configurations of mode ``all`` give optimal codes.
     """
     if gab is None:
         gab = build_lifted_gabidulin()
@@ -301,9 +286,13 @@ def hkk_build(
         e_img, ep_img = shortened[-2], shortened[-1]
         if e_img.dim != 2 or ep_img.dim != 3:
             raise AssertionError("shortening produced unexpected dimensions")
-        lines = [s for s in shortened if s.dim == 2 and s is not e_img] + [e_img]
-        planes = [s for s in shortened if s.dim == 3 and s is not ep_img] + [ep_img]
-        if len(lines) != 9 or len(planes) != 9:
+        lines = [s for s in shortened[:-2] if s.dim == 2] + [e_img]
+        planes = [s for s in shortened[:-2] if s.dim == 3] + [ep_img]
+        try:
+            s1, s2 = Spread(lines), spread_from_planes(planes)
+        except SpreadError:
+            s1 = s2 = None
+        if s1 is None or not validate_doubling(s1, s2).optimal:
             if stats is not None:
                 stats["discarded"] = stats.get("discarded", 0) + 1
             continue
@@ -311,19 +300,7 @@ def hkk_build(
         l2_pts = [
             coord[v] for v in gab.special_plane.points() if cfg.h.mask >> v & 1
         ]
-        try:
-            s1 = Spread(lines)
-            s2 = spread_from_planes(planes)
-        except SpreadError:
-            if stats is not None:
-                stats["discarded"] = stats.get("discarded", 0) + 1
-            continue
-        code = DoublingCode(s1, s2)
-        if not validate_doubling(s1, s2).optimal:
-            if stats is not None:
-                stats["discarded"] = stats.get("discarded", 0) + 1
-            continue
-        yield HKKResult(code, cfg, Subspace(l2_pts, 5))
+        yield HKKResult(DoublingCode(s1, s2), cfg, Subspace(l2_pts, 5))
         emitted += 1
         if limit is not None and emitted >= limit:
             return
@@ -339,12 +316,12 @@ def _check_hkk_config(cfg: HKKConfig, gab: LiftedGabidulinCode):
         raise ValueError("config: h contains the special plane")
     if cfg.p not in cfg.e:
         raise ValueError("config: e does not contain p")
-    l2 = [v for v in gab.special_plane.points() if cfg.h.mask >> v & 1]
-    if any(v not in cfg.e_prime for v in l2) or (cfg.e_prime.mask & ~cfg.h.mask):
+    if (sm & cfg.h.mask) & ~cfg.e_prime.mask or (cfg.e_prime.mask & ~cfg.h.mask):
         raise ValueError("config: e_prime must lie in h and contain special ∩ h")
-    if not _far_from(cfg.e, gab.codewords) or not _far_from(cfg.e_prime, gab.codewords):
+    far = {e.mask for e in _far_planes(gab)}
+    if cfg.e.mask not in far or cfg.e_prime.mask not in far:
         raise ValueError("config: augmenting plane too close to the Gabidulin code")
-    if subspace_distance(cfg.e, cfg.e_prime) < 4:
+    if not _far(cfg.e.mask, cfg.e_prime.mask):
         raise ValueError("config: e and e_prime too close")
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .spreads import Spread
 from .spreadfile import parse_spread_text
 
 __all__ = ["pair", "pairs", "EXPECTED"]

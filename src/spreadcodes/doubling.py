@@ -404,9 +404,13 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     n = len(x_rows) if limit is None else max(0, min(limit, len(x_rows)))
     census = PatternCensus({}, s1_count=n)
     if n:
-        forbidden = tables().perp[x_rows[0]].any(axis=0)
-        partners = x_rows[~forbidden[x_rows].any(axis=1)]
         s1 = Spread.from_line_ids(x_rows[0])
+        # a line of S1 lies in the dual plane of line j iff line j lies in
+        # the dual plane of that line (orthogonality is symmetric), so the
+        # partners are the rows with no line in ``s1.perp_bits``
+        bits = s1.perp_bits
+        forbidden = np.array([bits >> j & 1 for j in range(N_LINES)], dtype=bool)
+        partners = x_rows[~forbidden[x_rows].any(axis=1)]
         one = pattern_census((s1, Spread.from_line_ids(r)) for r in partners)
         census.histogram = {key: c * n for key, c in one.histogram.items()}
         census.pair_count = one.pair_count * n

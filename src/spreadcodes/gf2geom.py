@@ -70,6 +70,16 @@ def rank(vectors) -> int:
     return len(rref(vectors))
 
 
+def _bits(m: int) -> tuple:
+    """The positions of the set bits of ``m``, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
+
+
 def span_mask(basis) -> int:
     """Membership bitmask of the span: bit v is set iff vector v lies in it.
 
@@ -77,14 +87,8 @@ def span_mask(basis) -> int:
     """
     m = 1
     for b in basis:
-        new = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            new |= 1 << (v ^ b)
-            mm ^= low
-        m |= new
+        for v in _bits(m):
+            m |= 1 << (v ^ b)
     return m
 
 
@@ -124,13 +128,7 @@ class Subspace:
 
     def points(self):
         """The nonzero vectors of the subspace, ascending."""
-        m = self.mask & ~1
-        out = []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return _bits(self.mask & ~1)
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < (1 << self.n) and bool(self.mask >> v & 1)
@@ -171,13 +169,7 @@ def span(points, n: int) -> Subspace:
 def meet(u: Subspace, v: Subspace) -> Subspace:
     """Intersection of two subspaces."""
     _check_ambient(u, v)
-    m = u.mask & v.mask & ~1
-    pts = []
-    while m:
-        low = m & -m
-        pts.append(low.bit_length() - 1)
-        m ^= low
-    return Subspace(pts, u.n)
+    return Subspace(_bits(u.mask & v.mask & ~1), u.n)
 
 
 def join(u: Subspace, v: Subspace) -> Subspace:

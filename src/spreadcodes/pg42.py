@@ -37,8 +37,8 @@ class Tables:
 
     ``line_id`` maps a line's point mask to its ID; ``planes[i]`` is the
     dual of line i and ``plane_id`` maps that plane's point mask back to i;
-    bit k of ``plane_lines[j]`` is set iff line k lies in plane j, and
-    ``perp`` is the same incidence as a (line, plane) boolean array.
+    bit k of ``plane_lines[j]`` is set iff line k lies in plane j, that is
+    iff lines k and j are orthogonal (a symmetric relation).
     """
 
     def __init__(self):
@@ -51,9 +51,6 @@ class Tables:
         # dual planes: plane i is the orthogonal complement of line i
         self.planes = tuple(dual(l) for l in lines)
         self.plane_id = {p.mask: i for i, p in enumerate(self.planes)}
-        self.plane_mask_sorted = np.sort(
-            np.array([p.mask for p in enumerate_subspaces(5, 3)], dtype=np.uint32)
-        )
 
         # disjointness graph as 155-bit candidate masks (python ints)
         adj = []
@@ -90,21 +87,18 @@ class Tables:
                     join_solid[i, j] = (pm[i] & pm[j]).bit_length() - 2
         self.join_solid = join_solid
 
-        # plane_lines[j] and perp[:, j]: the 7 lines inside plane j (the
-        # dual of line j), one per pair of its points; line i lies in the
-        # dual plane of line j iff lines i and j are orthogonal
+        # plane_lines[j]: the 7 lines inside plane j (the dual of line j),
+        # one per pair of its points; line i lies in the dual plane of line
+        # j iff lines i and j are orthogonal
         line_id = self.line_id
         plane_lines = []
-        perp = np.zeros((N_LINES, N_LINES), dtype=bool)
-        for j, p in enumerate(self.planes):
+        for p in self.planes:
             inside = {
                 line_id[1 | 1 << a | 1 << b | 1 << (a ^ b)]
                 for a, b in itertools.combinations(p.points(), 2)
             }
             plane_lines.append(sum(1 << i for i in inside))
-            perp[list(inside), j] = True
         self.plane_lines = tuple(plane_lines)
-        self.perp = perp
 
     def image(self, s: Subspace, m) -> int:
         """The ID of the image of the line or plane ``s`` under the invertible

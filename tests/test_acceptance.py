@@ -113,7 +113,10 @@ def test_criterion_3_exhaustive_spread_structure(bulk, capfd):
         cover |= t.line_mask[xarr[:, c]]
     holes_mask = ~cover & np.uint32(0xFFFFFFFE)
     union = t.line_mask[common] | holes_mask
-    plane_ok = bool(np.isin(union, t.plane_mask_sorted).all())
+    plane_masks = np.array(
+        sorted(p.mask for p in enumerate_subspaces(5, 3)), dtype=np.uint32
+    )
+    plane_ok = bool(np.isin(union, plane_masks).all())
     ok = ok and plane_ok
     _verdict(
         capfd,

@@ -20,7 +20,7 @@ from spreadcodes.constructions import (
     shorten,
 )
 from spreadcodes.doubling import min_distance, validate_doubling
-from spreadcodes.gf2geom import Subspace, act_vector, subspace_distance
+from spreadcodes.gf2geom import Subspace, act_vector, enumerate_subspaces, subspace_distance
 from spreadcodes.pg42 import tables
 from spreadcodes.spreads import (
     SpreadError,
@@ -105,6 +105,43 @@ class TestHKK:
                 assert subspace_distance(cfg.e, c) >= 4
                 assert subspace_distance(cfg.e_prime, c) >= 4
 
+    def test_far_planes_match_distance_oracle(self, gab):
+        """The far-plane list against ``subspace_distance`` over all 1,395
+        planes of PG(5,2), in ``enumerate_subspaces`` order."""
+        want = [
+            e
+            for e in enumerate_subspaces(6, 3)
+            if all(subspace_distance(e, c) >= 4 for c in gab.codewords)
+        ]
+        assert len(want) == 99
+        assert list(constructions._far_planes(gab)) == want
+
+    def test_first_fit_configs_pinned(self, gab):
+        rows = [
+            (c.p, c.h.basis, c.e.basis, c.e_prime.basis)
+            for c in hkk_configs(gab, mode="first")
+        ]
+        assert len(rows) == 1568
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "a0a482656a9a5e79c671baa209acc3deac950bb9b5d248a7c250e98274a2bef4"
+        )
+
+    @pytest.mark.slow
+    def test_all_mode_configs_and_codes(self, gab):
+        rows = [
+            (c.p, c.h.basis, c.e.basis, c.e_prime.basis)
+            for c in hkk_configs(gab, mode="all")
+        ]
+        assert len(rows) == 56448
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "2087c727d8a26ce327fcf62a97b5a9cce98bae90f45fa3d30956b35b6e8dddf6"
+        )
+        # every valid configuration assembles an optimal code: the one
+        # discard path of hkk_build is never taken
+        stats = {}
+        assert sum(1 for _ in hkk_build(mode="all", gab=gab, stats=stats)) == 56448
+        assert stats == {}
+
     def test_mode_error(self, gab):
         with pytest.raises(ValueError):
             next(hkk_configs(gab, mode="bogus"))
@@ -134,6 +171,19 @@ class TestHKK:
             rep = hkk_pattern_check(res)
             assert rep.ok
             assert all(p in HKK_OTHER_PATTERNS for p in rep.other_patterns)
+
+    def test_discard_path_counts_a_config_that_is_not_two_spreads(
+        self, gab, monkeypatch
+    ):
+        cfg = next(hkk_configs(gab, mode="first", limit=1))
+
+        def not_a_spread(planes):
+            raise SpreadError("not a spread")
+
+        monkeypatch.setattr(constructions, "spread_from_planes", not_a_spread)
+        stats = {}
+        assert list(hkk_build(config=cfg, gab=gab, stats=stats)) == []
+        assert stats == {"discarded": 1}
 
     def test_explicit_config_validated(self, gab):
         cfg = next(hkk_configs(gab, mode="first", limit=1))

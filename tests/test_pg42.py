@@ -22,8 +22,7 @@ class TestTables:
         for line, plane in zip(t.lines, t.planes):
             orth = {v for v in range(1, 32) if all(dot(v, b) == 0 for b in line.basis)}
             assert plane.dim == 3 and set(plane.points()) == orth
-        assert sorted(p.mask for p in t.planes) == t.plane_mask_sorted.tolist()
-        assert t.plane_mask_sorted.tolist() == sorted(
+        assert sorted(p.mask for p in t.planes) == sorted(
             p.mask for p in enumerate_subspaces(5, 3)
         )
 
@@ -53,17 +52,6 @@ class TestTables:
         assert t.join_solid.dtype == want.dtype
         assert (t.join_solid == want).all()
 
-    def test_perp(self):
-        t = tables()
-        want = np.array(
-            [
-                [all(dot(x, y) == 0 for x in a.basis for y in b.basis) for b in t.lines]
-                for a in t.lines
-            ]
-        )
-        assert t.perp.dtype == want.dtype
-        assert (t.perp == want).all()
-
     def test_line_in_solid(self):
         t = tables()
         for p in range(1, 32):
@@ -71,12 +59,28 @@ class TestTables:
                 inside = all(dot(v, p) == 0 for v in line.basis)
                 assert t.line_in_solid[p - 1, k] == inside
 
+    def test_perp(self):
+        """Bit k of ``plane_lines[j]`` is set iff lines k and j are
+        orthogonal, by ``dot`` on their bases."""
+        t = tables()
+        for j, b in enumerate(t.lines):
+            inside = [k for k in range(N_LINES) if t.plane_lines[j] >> k & 1]
+            want = [
+                k
+                for k, a in enumerate(t.lines)
+                if all(dot(x, y) == 0 for x in a.basis for y in b.basis)
+            ]
+            assert inside == want
+
     def test_plane_lines_match_perp(self):
+        """``plane_lines[j]`` holds the seven lines inside ``planes[j]``,
+        the perp of line j."""
         t = tables()
         for j, bits in enumerate(t.plane_lines):
             inside = [k for k in range(N_LINES) if bits >> k & 1]
+            want = [k for k, a in enumerate(t.lines) if a <= t.planes[j]]
             assert len(inside) == 7
-            assert inside == np.flatnonzero(t.perp[:, j]).tolist()
+            assert inside == want
 
     def test_line_id_keys_are_point_masks(self):
         t = tables()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spreadcodes.gf2geom import Subspace, dual, join, parse_point, rref, span
+from spreadcodes.gf2geom import Subspace, dot, dual, join, parse_point, rref, span
 from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import (
     Spread,
@@ -23,6 +23,12 @@ from spreadcodes.spreads import (
 
 def _line(*toks):
     return span([parse_point(t) for t in toks], 5)
+
+
+def _orthogonal(a, b) -> bool:
+    """Oracle: is every vector of line ``a`` orthogonal to every vector of
+    line ``b``?"""
+    return all(dot(x, y) == 0 for x in a.basis for y in b.basis)
 
 
 def rank_four_reguli(s):
@@ -64,11 +70,14 @@ class TestSpreadBasics:
             assert a.line_ids == b.line_ids == s.line_ids
             assert a.lines == b.lines == tuple(lines[i] for i in s.line_ids)
             assert all(x is lines[i] for x, i in zip(a.lines, a.line_ids))
-            in_dual = tables().perp[:, list(s.line_ids)].any(axis=1)
+            # oracle: the lines orthogonal to a line of the spread, by dot
+            in_dual = [
+                k
+                for k, x in enumerate(lines)
+                if any(_orthogonal(x, lines[i]) for i in s.line_ids)
+            ]
             assert a.line_bits == b.line_bits == sum(1 << i for i in s.line_ids)
-            assert a.perp_bits == b.perp_bits == sum(
-                1 << int(k) for k in np.flatnonzero(in_dual)
-            )
+            assert a.perp_bits == b.perp_bits == sum(1 << k for k in in_dual)
 
     def test_from_line_ids_indexes_like_the_line_table(self, reference_pairs):
         s1, _ = reference_pairs[0]
