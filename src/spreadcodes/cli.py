@@ -26,6 +26,7 @@ from .doubling import (
     exhaustive_xx_census,
     intersection_pattern,
     min_distance,
+    optimal_pairs,
     pattern_census,
     validate_doubling,
 )
@@ -180,7 +181,9 @@ def cmd_classify(args):
     return 0
 
 
-def _pair_report(s1: Spread, s2: Spread):
+def _pair_report(s1: Spread, s2: Spread, t1=None, t2=None):
+    """The report of one pair; ``t1`` and ``t2`` are the spreads'
+    classifications when the caller has them already."""
     v = validate_doubling(s1, s2)
     rec = {"s1": s1.id, "s2": s2.id, "optimal": v.optimal}
     if not v.optimal:
@@ -189,7 +192,8 @@ def _pair_report(s1: Spread, s2: Spread):
         return rec
     code = DoublingCode(s1, s2)
     rec["min_distance"] = min_distance(code)
-    t1, t2 = classify(s1), classify(s2)
+    t1 = t1 or classify(s1)
+    t2 = t2 or classify(s2)
     rec["types"] = [t1.tag, t2.tag]
     if t1.tag == "X":
         pats = [intersection_pattern(p, s1, t1) for p in code.planes]
@@ -202,9 +206,11 @@ def _pair_report(s1: Spread, s2: Spread):
 def cmd_doubling(args):
     if args.search_db:
         db = load_spread_file(args.search_db)
-        out = []
-        for code in doubling_search(db, tuple(args.filter), limit=args.limit):
-            out.append(_pair_report(code.s1, code.s2))
+        types = [classify(s) for s in db]
+        out = [
+            _pair_report(db[i], db[j], types[i], types[j])
+            for i, j in optimal_pairs(db, types, tuple(args.filter), args.limit)
+        ]
         _emit(args, json.dumps(out, indent=2) + "\n")
         return 0
     s1s = load_spread_file(args.file1)

@@ -24,22 +24,23 @@ from typing import Iterator, Optional, Sequence, Tuple
 from .doubling import DoublingCode, intersection_pattern, validate_doubling
 from .gf2geom import (
     Subspace,
+    _bits,
     act_vector,
     enumerate_subspaces,
     join,
-    rref,
+    rref_bases,
     span_mask,
 )
 from .pg42 import N_LINES, tables
 from .spreads import (
     Spread,
     SpreadError,
+    _disjoint,
     _is_regulus_ids,
     _opposite_regulus_ids,
     classify,
     is_regulus,
     holes,
-    spread_from_planes,
     verify_regulus_free_extension,
 )
 
@@ -97,11 +98,19 @@ def _gab_matrix(a0: int, a1: int) -> tuple:
     )
 
 
+def _far(a: int, b: int) -> bool:
+    """Are the planes of PG(5,2) with point masks ``a`` and ``b`` at subspace
+    distance >= 4?  The distance is 6 - 2 dim(a ∩ b), so they must meet in
+    at most a point: at most two set bits (zero and a point) in common."""
+    return (a & b).bit_count() <= 2
+
+
 def build_lifted_gabidulin() -> LiftedGabidulinCode:
     """Construct the lifted (6,3,2) Gabidulin code, deterministic order.
 
-    Message coefficients (a0, a1) run lexicographically over GF(8)^2; the
-    rank-distance >= 2 property is asserted exhaustively.
+    Message coefficients (a0, a1) run lexicographically over GF(8)^2.  The
+    rank-distance >= 2 property is asserted exhaustively on the lifts, as
+    d_S(lift A, lift B) = 2 d_R(A, B): every pair of codewords is ``_far``.
     """
     matrices = []
     codewords = []
@@ -111,11 +120,9 @@ def build_lifted_gabidulin() -> LiftedGabidulinCode:
             matrices.append(rows)
             basis = [(1 << i) | (rows[i] << 3) for i in range(3)]
             codewords.append(Subspace(basis, 6))
-    for i in range(64):
-        for j in range(i + 1, 64):
-            diff = [matrices[i][k] ^ matrices[j][k] for k in range(3)]
-            if len(rref(diff)) < 2:
-                raise AssertionError("rank distance below 2 in Gabidulin code")
+    masks = [c.mask for c in codewords]
+    if not all(_far(a, b) for a, b in itertools.combinations(masks, 2)):
+        raise AssertionError("rank distance below 2 in Gabidulin code")
     special = Subspace((8, 16, 32), 6)
     return LiftedGabidulinCode(tuple(codewords), tuple(matrices), special)
 
@@ -125,16 +132,25 @@ def build_lifted_gabidulin() -> LiftedGabidulinCode:
 
 
 def _h_coordinates(h: Subspace) -> dict:
-    """Vector-in-H -> 5-bit coordinate tuple w.r.t. H's RREF basis."""
-    coord = {}
-    hb = h.basis
-    for bits in range(1 << len(hb)):
-        v = 0
-        for i, b in enumerate(hb):
-            if bits >> i & 1:
-                v ^= b
-        coord[v] = bits
+    """Vector-in-H -> its 5-bit coordinate vector w.r.t. H's RREF basis."""
+    coord = {0: 0}
+    for i, b in enumerate(h.basis):
+        coord.update({v ^ b: c | 1 << i for v, c in coord.items()})
     return coord
+
+
+def _shorten_mask(xm: int, p: int, hm: int, coord: dict) -> Optional[int]:
+    """The point mask after shortening of the subspace with point mask
+    ``xm``, at the point ``p`` and the hyperplane with point mask ``hm``;
+    None if it is dropped.  A subspace inside H stays whole, one through
+    ``p`` is cut to its meet with H, and the image takes the coordinates
+    of ``coord`` (``_h_coordinates`` of H)."""
+    if xm & ~hm and not xm >> p & 1:
+        return None
+    out = 0
+    for v in _bits(xm & hm):
+        out |= 1 << coord[v]
+    return out
 
 
 def shorten(code: Sequence[Subspace], p: int, h: Subspace) -> list:
@@ -149,18 +165,8 @@ def shorten(code: Sequence[Subspace], p: int, h: Subspace) -> list:
     if p in h:
         raise ValueError("shortening point must lie outside the hyperplane")
     coord = _h_coordinates(h)
-    hm = h.mask
-    out = []
-    for x in code:
-        xm = x.mask
-        if (xm & ~hm) == 0:
-            pts = x.points()
-        elif p in x:
-            pts = [v for v in x.points() if hm >> v & 1]
-        else:
-            continue
-        out.append(Subspace([coord[v] for v in pts], h.n - 1))
-    return out
+    images = (_shorten_mask(x.mask, p, h.mask, coord) for x in code)
+    return [Subspace(_bits(m & ~1), h.n - 1) for m in images if m is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +192,15 @@ class HKKConfig:
     e_prime: Subspace
 
 
-def _far(a: int, b: int) -> bool:
-    """Are the planes of PG(5,2) with point masks ``a`` and ``b`` at subspace
-    distance >= 4?  The distance is 6 - 2 dim(a ∩ b), so they must meet in
-    at most a point: at most two set bits (zero and a point) in common."""
-    return (a & b).bit_count() <= 2
-
-
 def _far_planes(gab: LiftedGabidulinCode) -> tuple:
     """The 99 planes of PG(5,2) far from every Gabidulin codeword, in
-    canonical-basis order (the order of ``enumerate_subspaces``)."""
+    canonical-basis order (the order of ``enumerate_subspaces``).  The
+    1,395 candidates are tested as point masks of their bases; only the
+    survivors become ``Subspace`` objects."""
     cw = [c.mask for c in gab.codewords]
+    planes = ((b, span_mask(b)) for b in rref_bases(6, 3))
     return tuple(
-        e for e in enumerate_subspaces(6, 3) if all(_far(e.mask, c) for c in cw)
+        Subspace(b, 6) for b, m in planes if all(_far(m, c) for c in cw)
     )
 
 
@@ -279,28 +281,42 @@ def hkk_build(
         _check_hkk_config(config, gab)
     else:
         configs = hkk_configs(gab, mode=mode)
+    t = tables()
+    cw = [c.mask for c in gab.codewords]
+    ph = None
     emitted = 0
     for cfg in configs:
-        shortened = shorten(list(gab.codewords) + [cfg.e, cfg.e_prime], cfg.p, cfg.h)
-        # E goes through P, so its image is a line; E' sits inside H
-        e_img, ep_img = shortened[-2], shortened[-1]
-        if e_img.dim != 2 or ep_img.dim != 3:
-            raise AssertionError("shortening produced unexpected dimensions")
-        lines = [s for s in shortened[:-2] if s.dim == 2] + [e_img]
-        planes = [s for s in shortened[:-2] if s.dim == 3] + [ep_img]
+        p, hm = cfg.p, cfg.h.mask
+        if (p, hm) != ph:
+            # the shortened Gabidulin part depends on (P, H) only, and mode
+            # ``all`` gives all configurations of one (P, H) in a row
+            ph = p, hm
+            coord = _h_coordinates(cfg.h)
+            # a codeword through P becomes a line (4 point-mask bits), one
+            # inside H stays a plane (8 bits)
+            gab_lines, gab_planes = [], []
+            for xm in cw:
+                m = _shorten_mask(xm, p, hm, coord)
+                if m is not None:
+                    if m.bit_count() == 4:
+                        gab_lines.append(t.line_id[m])
+                    else:
+                        gab_planes.append(t.plane_id[m])
+            # special ∩ H lies in H, so shortening keeps it whole
+            l2 = t.line_id[_shorten_mask(gab.special_plane.mask & hm, p, hm, coord)]
+        # E goes through P and E' lies in H
+        e = t.line_id[_shorten_mask(cfg.e.mask, p, hm, coord)]
+        e_prime = t.plane_id[_shorten_mask(cfg.e_prime.mask, p, hm, coord)]
         try:
-            s1, s2 = Spread(lines), spread_from_planes(planes)
+            s1 = Spread.from_line_ids(gab_lines + [e])
+            s2 = Spread.from_line_ids(gab_planes + [e_prime])
         except SpreadError:
             s1 = s2 = None
         if s1 is None or not validate_doubling(s1, s2).optimal:
             if stats is not None:
                 stats["discarded"] = stats.get("discarded", 0) + 1
             continue
-        coord = _h_coordinates(cfg.h)
-        l2_pts = [
-            coord[v] for v in gab.special_plane.points() if cfg.h.mask >> v & 1
-        ]
-        yield HKKResult(DoublingCode(s1, s2), cfg, Subspace(l2_pts, 5))
+        yield HKKResult(DoublingCode(s1, s2), cfg, t.lines[l2])
         emitted += 1
         if limit is not None and emitted >= limit:
             return
@@ -422,17 +438,6 @@ class CPSOrbits:
     plane_orbits: tuple
     good_line_orbits: tuple  # indices into line_orbits
     good_plane_orbits: tuple
-
-
-def _disjoint(ids) -> bool:
-    """Are the lines with these ids pairwise disjoint?
-
-    A plane's id is its dual line's, and two planes of PG(4,2) meet in
-    exactly a point iff their dual lines are disjoint, so on plane ids this
-    asks whether the planes pairwise meet in a point.
-    """
-    adj = tables().adjacency
-    return all(adj[a] >> b & 1 for a, b in itertools.combinations(ids, 2))
 
 
 def _by_basis(subspaces, ids) -> list:

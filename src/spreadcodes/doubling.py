@@ -25,11 +25,12 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2geom import Subspace, subspace_distance
+from .gf2geom import Subspace
 from .pg42 import N_LINES, tables
 from .spreads import (
     Spread,
     SpreadAnomaly,
+    SpreadType,
     classify,
     classify_all,
     dual_spread,
@@ -47,6 +48,7 @@ __all__ = [
     "intersection_pattern",
     "pattern_census",
     "doubling_search",
+    "optimal_pairs",
     "exhaustive_xx_census",
     "ALLOWED_PATTERNS",
     "NINTH_PLANE_PATTERNS",
@@ -149,11 +151,18 @@ def validate_doubling(s1: Spread, s2: Spread) -> Verdict:
     return Verdict(True)
 
 
+def _dim(mask: int) -> int:
+    """The dimension of the subspace with point mask ``mask`` (2**dim bits)."""
+    return mask.bit_count().bit_length() - 1
+
+
 def min_distance(code: DoublingCode) -> int:
-    """Minimum pairwise subspace distance over all 18 codewords."""
-    cw = code.codewords
+    """Minimum pairwise subspace distance over all 18 codewords, on their
+    point masks: d(U, V) = dim U + dim V - 2 dim(U ∩ V) (``subspace_distance``
+    is the same formula on ``Subspace`` objects)."""
+    masks = [c.mask for c in code.codewords]
     return min(
-        subspace_distance(a, b) for a, b in itertools.combinations(cw, 2)
+        _dim(a) + _dim(b) - 2 * _dim(a & b) for a, b in itertools.combinations(masks, 2)
     )
 
 
@@ -290,29 +299,43 @@ def pattern_census(
     return census
 
 
+def optimal_pairs(
+    spread_db: Sequence[Spread],
+    types: Sequence[SpreadType],
+    type_filter: Tuple[str, str] = ("X", "X"),
+    limit: Optional[int] = None,
+) -> Iterator[Tuple[int, int]]:
+    """Stream the index pairs (i, j) of optimal doubling pairs from a
+    spread list whose classifications are ``types``.
+
+    Pairs are tried in database order by the bit-set test of
+    `validate_doubling`, without looking up witnesses.  Diagonal pairs
+    (i, i) are included when they validate.
+    """
+    cols = [j for j, t in enumerate(types) if t.tag == type_filter[1]]
+    emitted = 0
+    for i, t in enumerate(types):
+        if t.tag != type_filter[0]:
+            continue
+        s1 = spread_db[i]
+        for j in cols:
+            if not _conflicts(s1, spread_db[j]):
+                yield i, j
+                emitted += 1
+                if limit is not None and emitted >= limit:
+                    return
+
+
 def doubling_search(
     spread_db: Sequence[Spread],
     type_filter: Tuple[str, str] = ("X", "X"),
     limit: Optional[int] = None,
 ) -> Iterator[DoublingCode]:
-    """Stream optimal doubling codes over ordered pairs from a spread list.
-
-    Pairs are tried in database order by the bit-set test of
-    `validate_doubling`, without looking up witnesses.  Diagonal pairs
-    (s, s) are included when they validate.
-    """
-    tags = [classify(s).tag for s in spread_db]
-    cols = [s2 for s2, tag in zip(spread_db, tags) if tag == type_filter[1]]
-    emitted = 0
-    for s1, tag in zip(spread_db, tags):
-        if tag != type_filter[0]:
-            continue
-        for s2 in cols:
-            if not _conflicts(s1, s2):
-                yield DoublingCode(s1, s2)
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
+    """Stream optimal doubling codes over ordered pairs from a spread list,
+    in the order of `optimal_pairs`; each spread is classified once."""
+    types = [classify(s) for s in spread_db]
+    for i, j in optimal_pairs(spread_db, types, type_filter, limit):
+        yield DoublingCode(spread_db[i], spread_db[j])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ __all__ = [
     "act_vector",
     "subspace_distance",
     "enumerate_subspaces",
+    "rref_bases",
     "parse_point",
     "format_point",
     "point_from_bitstring",
@@ -233,17 +234,17 @@ def gaussian_binomial(n: int, k: int, q: int = 2) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
-def enumerate_subspaces(n: int, k: int):
-    """All k-dimensional subspaces of GF(2)^n, each exactly once.
+def rref_bases(n: int, k: int) -> list:
+    """The canonical bases (see ``rref``) of all k-dimensional subspaces of
+    GF(2)^n as int tuples, ascending: the order of ``enumerate_subspaces``.
 
-    Enumerates RREF matrices directly (choose pivot columns, then free
-    entries) and returns them sorted by canonical basis, which fixes a
-    deterministic ID order used everywhere else.
+    Enumerates RREF matrices directly: choose the pivot columns, then the
+    entries right of each pivot outside the pivot columns.  Each such
+    matrix is already in ``rref`` form, one per subspace.
     """
     if k < 0 or k > n:
         raise ValueError(f"dimension {k} out of range for ambient {n}")
-    out = set()
+    out = []
     for piv in itertools.combinations(range(n), k):
         free = [
             (r, c)
@@ -256,9 +257,18 @@ def enumerate_subspaces(n: int, k: int):
             for idx, (r, c) in enumerate(free):
                 if bits >> idx & 1:
                     rows[r] |= 1 << c
-            out.add(rref(rows))
+            out.append(tuple(rows))
     assert len(out) == gaussian_binomial(n, k)
-    return tuple(Subspace(b, n) for b in sorted(out))
+    out.sort()
+    return out
+
+
+@lru_cache(maxsize=None)
+def enumerate_subspaces(n: int, k: int):
+    """All k-dimensional subspaces of GF(2)^n, each exactly once, sorted
+    by canonical basis, which fixes a deterministic ID order used
+    everywhere else."""
+    return tuple(Subspace(b, n) for b in rref_bases(n, k))
 
 
 # ---------------------------------------------------------------------------

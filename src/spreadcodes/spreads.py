@@ -107,15 +107,15 @@ class Spread:
     def _set_ids(self, ids: list) -> None:
         """Store the 9 ids once they are pairwise-disjoint lines."""
         t = tables()
-        adj = t.adjacency
-        for a in range(8):
-            row = adj[ids[a]]
-            for b in range(a + 1, 9):
-                if not row >> ids[b] & 1:
-                    la, lb = t.lines[ids[a]], t.lines[ids[b]]
-                    raise SpreadError(
-                        f"lines {a + 1} and {b + 1} intersect: {la!r}, {lb!r}"
-                    )
+        if not _disjoint(ids):
+            adj = t.adjacency
+            a, b = next(
+                (a, b)
+                for a, b in itertools.combinations(range(9), 2)
+                if not adj[ids[a]] >> ids[b] & 1
+            )
+            la, lb = t.lines[ids[a]], t.lines[ids[b]]
+            raise SpreadError(f"lines {a + 1} and {b + 1} intersect: {la!r}, {lb!r}")
         line_bits = perp_bits = 0
         for i in ids:
             line_bits |= 1 << i
@@ -150,6 +150,24 @@ class Spread:
 
     def __repr__(self):
         return f"Spread(id={self.id})"
+
+
+def _disjoint(ids) -> bool:
+    """Are the lines with these ids pairwise disjoint?  One AND per id: the
+    set of all of them must lie in the id's ``adjacency`` row plus itself,
+    and no id may repeat (a line meets itself).
+
+    A plane's id is its dual line's, and two planes of PG(4,2) meet in
+    exactly a point iff their dual lines are disjoint, so on plane ids this
+    asks whether the planes pairwise meet in a point.
+    """
+    adj = tables().adjacency
+    bits = 0
+    for a in ids:
+        bits |= 1 << a
+    if bits.bit_count() != len(ids):
+        return False
+    return all((adj[a] | 1 << a) & bits == bits for a in ids)
 
 
 def holes(s: Spread) -> tuple:

@@ -344,3 +344,28 @@ class TestOutputPins:
         argv = ["doubling", str(files[0]), str(files[1])]
         assert self._sha(capsys, argv) == text_sha
         assert self._sha(capsys, argv + ["--format", "json"]) == json_sha
+
+    @pytest.mark.parametrize(
+        "types, sha",
+        [
+            (("X", "X"),
+             "65b2eddb9bd18176e4ad17b9e8e31c2a54ba79038eee63fcbbb9c840c916535c"),
+            (("X", "E"),
+             "49c60db735426be15e69253de9ba85af40eb2ae8f0658fbd37f7ea7f5cb4cf2f"),
+            (("E", "X"),
+             "d137f4296d6054a7aac55ad9ba846a3e5e7555084e11b45514ccf106002fe415"),
+        ],
+    )
+    def test_search_db(self, tmp_path, capsys, monkeypatch, types, sha):
+        """``doubling --search-db`` on the ten corpus spreads and the first
+        ``basic`` CPS pair (types X and E), each spread classified once."""
+        code, _ = next(cps_build(variant="basic", limit=1))
+        spreads = [s for n in range(1, 6) for s in corpus.pair(n)]
+        spreads += [code.s1, code.s2]
+        db = tmp_path / "db.txt"
+        db.write_text(format_spreads(spreads))
+        calls = []
+        monkeypatch.setattr(cli, "classify", lambda s: calls.append(s) or classify(s))
+        argv = ["doubling", "--search-db", str(db), "--filter", *types]
+        assert self._sha(capsys, argv) == sha
+        assert len(calls) == len(spreads)

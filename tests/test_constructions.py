@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,11 +21,20 @@ from spreadcodes.constructions import (
     shorten,
 )
 from spreadcodes.doubling import min_distance, validate_doubling
-from spreadcodes.gf2geom import Subspace, act_vector, enumerate_subspaces, subspace_distance
+from spreadcodes.gf2geom import (
+    Subspace,
+    act_vector,
+    enumerate_subspaces,
+    meet,
+    rref,
+    subspace_distance,
+)
 from spreadcodes.pg42 import tables
 from spreadcodes.spreads import (
+    Spread,
     SpreadError,
     classify,
+    dual_spread,
     is_regulus,
     spread_from_planes,
 )
@@ -56,6 +66,16 @@ class TestLiftedGabidulin:
         ]
         assert min(dists) == 4
 
+    def test_rank_distance_two_oracle(self, gab):
+        """The rank-metric statement that the build checks as subspace
+        distance: every difference of two code matrices has rank >= 2."""
+        diffs = [
+            [a[k] ^ b[k] for k in range(3)]
+            for a, b in itertools.combinations(gab.matrices, 2)
+        ]
+        assert len(diffs) == 2016
+        assert min(len(rref(d)) for d in diffs) == 2
+
     def test_disjoint_from_special_plane(self, gab):
         sm = gab.special_plane.mask
         assert gab.special_plane.basis == (8, 16, 32)
@@ -74,6 +94,34 @@ class TestShorten:
         assert len(out) == 2
         assert out[0].dim == 3 and out[0].n == 5
         assert out[1].dim == 2  # plane through p becomes a line
+
+    def test_matches_subspace_oracle(self, gab):
+        """``shorten`` and ``hkk_build`` against shortening by ``Subspace``
+        operations, with coordinates read off the pivots of H's RREF basis
+        (each pivot occurs in one basis row only)."""
+        for res in hkk_build(limit=20, gab=gab):
+            cfg = res.config
+            pivots = [b & -b for b in cfg.h.basis]
+
+            def image(x):
+                coords = [
+                    sum(1 << i for i, piv in enumerate(pivots) if v & piv)
+                    for v in x.basis
+                ]
+                return Subspace(coords, 5)
+
+            code = list(gab.codewords) + [cfg.e, cfg.e_prime]
+            want = [
+                image(x if x <= cfg.h else meet(x, cfg.h))
+                for x in code
+                if x <= cfg.h or cfg.p in x
+            ]
+            assert shorten(code, cfg.p, cfg.h) == want
+            lines = [x for x in want[:-2] if x.dim == 2] + [want[-2]]
+            planes = [x for x in want[:-2] if x.dim == 3] + [want[-1]]
+            assert list(res.code.s1.lines) == lines
+            assert list(dual_spread(res.code.s2)) == planes
+            assert res.l2_image == image(meet(gab.special_plane, cfg.h))
 
     def test_input_validation(self, gab):
         plane = Subspace((1, 2, 4), 6)
@@ -126,6 +174,20 @@ class TestHKK:
             "a0a482656a9a5e79c671baa209acc3deac950bb9b5d248a7c250e98274a2bef4"
         )
 
+    @staticmethod
+    def _code_rows(results) -> list:
+        return [
+            (r.code.s1.line_ids, r.code.s2.line_ids, r.l2_image.basis)
+            for r in results
+        ]
+
+    def test_first_fit_codes_pinned(self, gab):
+        rows = self._code_rows(hkk_build(mode="first", gab=gab))
+        assert len(rows) == 1568
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "5afa5b55a7a39a7d388323560f47bfab37e043f746dd49a95a8b88d6058e64c8"
+        )
+
     @pytest.mark.slow
     def test_all_mode_configs_and_codes(self, gab):
         rows = [
@@ -139,8 +201,12 @@ class TestHKK:
         # every valid configuration assembles an optimal code: the one
         # discard path of hkk_build is never taken
         stats = {}
-        assert sum(1 for _ in hkk_build(mode="all", gab=gab, stats=stats)) == 56448
+        rows = self._code_rows(hkk_build(mode="all", gab=gab, stats=stats))
         assert stats == {}
+        assert len(rows) == 56448
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "0536fc0f9010cf627dd234f97aeb2681dbb29318eeb7190a7c3e72cb1a60c521"
+        )
 
     def test_mode_error(self, gab):
         with pytest.raises(ValueError):
@@ -177,10 +243,13 @@ class TestHKK:
     ):
         cfg = next(hkk_configs(gab, mode="first", limit=1))
 
-        def not_a_spread(planes):
-            raise SpreadError("not a spread")
+        def first_line_twice(ids):
+            # the spread check raises SpreadError: line 9 meets line 1
+            return Spread.from_line_ids(ids[:8] + ids[:1])
 
-        monkeypatch.setattr(constructions, "spread_from_planes", not_a_spread)
+        monkeypatch.setattr(
+            constructions, "Spread", SimpleNamespace(from_line_ids=first_line_twice)
+        )
         stats = {}
         assert list(hkk_build(config=cfg, gab=gab, stats=stats)) == []
         assert stats == {"discarded": 1}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spreadcodes import cli, doubling
-from spreadcodes.constructions import cps_build
+from spreadcodes.constructions import cps_build, hkk_build
 from spreadcodes.doubling import (
     ALLOWED_PATTERNS,
     ELIMINATED_PATTERN,
@@ -107,13 +107,21 @@ class TestValidation:
             assert limited == want[:2]
 
     def test_min_distance_matches_pairwise_sweep(self, reference_pairs):
+        """``min_distance`` on point masks against ``subspace_distance`` on
+        the codewords: a corpus pair, the first HKK code and the first code
+        of each CPS variant, and an invalid pair (a spread with itself)."""
         s1, s2 = reference_pairs[0]
-        code = DoublingCode(s1, s2)
-        dists = [
-            subspace_distance(a, b)
-            for a, b in itertools.combinations(code.codewords, 2)
-        ]
-        assert min(dists) == min_distance(code) == 3
+        codes = [DoublingCode(s1, s2), DoublingCode(s1, s1)]
+        codes.append(next(hkk_build(limit=1)).code)
+        for variant in ("basic", "swap_reguli", "replace_plane"):
+            codes.append(next(cps_build(variant, limit=1))[0])
+        for code in codes:
+            dists = [
+                subspace_distance(a, b)
+                for a, b in itertools.combinations(code.codewords, 2)
+            ]
+            assert min(dists) == min_distance(code)
+        assert [min_distance(c) for c in codes] == [3, 1, 3, 3, 3, 3]
 
     def test_code_immutable(self, reference_pairs):
         s1, s2 = reference_pairs[0]

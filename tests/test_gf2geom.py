@@ -17,6 +17,7 @@ from spreadcodes.gf2geom import (
     point_from_bitstring,
     point_to_bitstring,
     rref,
+    rref_bases,
     span,
     subspace_distance,
 )
@@ -223,6 +224,15 @@ class TestEnumeration:
                 if len(t) == 2:
                     brute.add(t)
         assert got == brute
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rref_bases_are_canonical(self, n):
+        for k in range(n + 1):
+            bases = rref_bases(n, k)
+            assert len(bases) == gaussian_binomial(n, k)
+            assert all(rref(b) == b and len(b) == k for b in bases)
+            assert bases == sorted(set(bases))
+            assert [s.basis for s in enumerate_subspaces(n, k)] == bases
 
     def test_order_deterministic(self):
         subs = enumerate_subspaces(5, 2)

@@ -9,6 +9,7 @@ from spreadcodes.spreads import (
     Spread,
     SpreadError,
     _clique_extend,
+    _disjoint,
     classify,
     classify_all,
     dual_spread,
@@ -135,6 +136,25 @@ class TestSpreadBasics:
 
 
 class TestDisjointnessGraph:
+    def test_disjoint_matches_point_mask_oracle(self, sample_spreads):
+        """``_disjoint`` against pairwise meets of point masks, on seeded
+        id lists of 2 to 9 lines with and without repeats, and on spreads."""
+        lm = [l.mask for l in tables().lines]
+        rng = np.random.default_rng(5)
+        lists = [list(s.line_ids) for s in sample_spreads(20, 5)]
+        lists += [
+            rng.integers(0, N_LINES, size=k).tolist()
+            for k in range(2, 10)
+            for _ in range(200)
+        ]
+        lists += [ids[:8] + ids[:1] for ids in lists[:20]]
+        verdicts = set()
+        for ids in lists:
+            want = all((lm[a] & lm[b]) == 1 for a, b in itertools.combinations(ids, 2))
+            assert _disjoint(ids) == want, ids
+            verdicts.add(want)
+        assert verdicts == {False, True}
+
     def test_regular_of_degree_112(self):
         adj = tables().adjacency
         assert len(adj) == 155
