@@ -33,7 +33,6 @@ from .doubling import (
 from .gf2geom import enumerate_subspaces, format_point, point_to_bitstring
 from .spreads import Spread, SpreadAnomaly, classify, holes
 from .spreadfile import ParseError, load_spread_file
-from . import constructions as cons
 
 USAGE_ERROR, PARSE_ERROR, INVARIANT_ERROR = 1, 2, 3
 
@@ -295,6 +294,8 @@ def cmd_census(args):
 
 
 def cmd_hkk(args):
+    from . import constructions as cons
+
     stats: dict = {}
     rows = []
     for res in cons.hkk_build(mode=args.mode, limit=args.limit, stats=stats):
@@ -323,6 +324,8 @@ def cmd_hkk(args):
 
 
 def cmd_cps(args):
+    from . import constructions as cons
+
     rows = []
     for code, cfg in cons.cps_build(variant=args.variant, limit=args.limit):
         t1 = classify(code.s1)

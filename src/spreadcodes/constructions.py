@@ -36,8 +36,8 @@ from .spreads import (
     Spread,
     SpreadError,
     _disjoint,
-    _is_regulus_ids,
     _opposite_regulus_ids,
+    _regulus_solids,
     classify,
     is_regulus,
     holes,
@@ -334,9 +334,10 @@ def _check_hkk_config(cfg: HKKConfig, gab: LiftedGabidulinCode):
         raise ValueError("config: e does not contain p")
     if (sm & cfg.h.mask) & ~cfg.e_prime.mask or (cfg.e_prime.mask & ~cfg.h.mask):
         raise ValueError("config: e_prime must lie in h and contain special ∩ h")
-    far = {e.mask for e in _far_planes(gab)}
-    if cfg.e.mask not in far or cfg.e_prime.mask not in far:
-        raise ValueError("config: augmenting plane too close to the Gabidulin code")
+    cw = [c.mask for c in gab.codewords]
+    for x in (cfg.e, cfg.e_prime):
+        if x.n != 6 or x.dim != 3 or not all(_far(x.mask, c) for c in cw):
+            raise ValueError("config: augmenting plane too close to the Gabidulin code")
     if not _far(cfg.e.mask, cfg.e_prime.mask):
         raise ValueError("config: e and e_prime too close")
 
@@ -499,8 +500,10 @@ def _completing_reguli(l1):
     for i in l1:
         cand &= adj[i]
     ids = [i for i in range(N_LINES) if cand >> i & 1]
+    ls = tables().line_solids
     for a, b, c in itertools.combinations(ids, 3):
-        if adj[a] >> b & 1 and (adj[a] & adj[b]) >> c & 1 and _is_regulus_ids(a, b, c):
+        disjoint = adj[a] >> b & 1 and (adj[a] & adj[b]) >> c & 1
+        if disjoint and _regulus_solids((ls[a], ls[b], ls[c])):
             yield a, b, c
 
 
@@ -548,8 +551,8 @@ def cps_build(
             # the carrier solid as r2: either completes l1 to a spread
             s1 = Spread.from_line_ids(l1 + spread_part)
             # a plane lies in the carrier solid iff its dual line holds the
-            # solid's dual point
-            carrier_point = int(t.join_solid[r1[0], r1[1]]) + 1
+            # solid's dual point, bit p - 1 of both lines' ``line_solids``
+            carrier_point = (t.line_solids[r1[0]] & t.line_solids[r1[1]]).bit_length()
             covered = 0
             for i in plane_part:
                 covered |= t.lines[i].mask

@@ -21,9 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .gf2geom import Subspace
 from .pg42 import N_LINES, tables
@@ -36,6 +34,9 @@ from .spreads import (
     dual_spread,
     holes,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DoublingCode",
@@ -347,19 +348,20 @@ _GENERATORS = (
     (3, 2, 4, 8, 16),  # transvection e1 -> e1 + e2
 )
 
-# _BINOM[i, k] = C(i, k + 1): by the combinatorial number system, the sum
-# over an ascending row of 9 distinct line ids is a distinct int64 per row
-_BINOM = np.array(
-    [[math.comb(i, k + 1) for k in range(9)] for i in range(N_LINES)], dtype=np.int64
-)
-
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    return _BINOM[rows, np.arange(9)].sum(axis=1)
+    import numpy as np
+
+    # binom[i][k] = C(i, k + 1): by the combinatorial number system, the sum
+    # over an ascending row of 9 distinct line ids is a distinct int64 per row
+    binom = [[math.comb(i, k + 1) for k in range(9)] for i in range(N_LINES)]
+    return np.array(binom, dtype=np.int64)[rows, np.arange(9)].sum(axis=1)
 
 
 def _line_permutation(m) -> np.ndarray:
     """perm[i] is the line id of the image of line i under the matrix ``m``."""
+    import numpy as np
+
     t = tables()
     return np.array([t.image(l, m) for l in t.lines], dtype=np.int16)
 
@@ -371,6 +373,8 @@ def _certify_orbit(rows: np.ndarray) -> None:
     image under each generator must be a row, and a breadth-first search
     from row 0 must reach all rows; otherwise SpreadAnomaly.
     """
+    import numpy as np
+
     keys = _row_keys(rows)
     order = np.argsort(keys)
     sorted_keys = keys[order]
@@ -421,6 +425,8 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     ``limit`` takes only the first ``limit`` type-X spreads as S1 (for
     smoke tests); by default all of them.
     """
+    import numpy as np
+
     bulk = classify_all()
     x_rows = bulk.line_ids[bulk.types == 0]
     _certify_orbit(x_rows)

@@ -5,7 +5,9 @@ shared read-only by the search, census and construction code.  Line IDs
 are indices into ``enumerate_subspaces(5, 2)``; a plane is indexed by the
 ID of its dual line, and a solid by the ID of its dual point (point value
 minus one).  The duals of lines and of planes are read from ``planes`` and
-``plane_id``.
+``plane_id``.  The solids through line k are the points of its dual plane:
+bit p - 1 of ``line_solids[k]``, that plane's point mask shifted past the
+zero vector.  Two disjoint lines span the one solid their masks share.
 
 A line is found by its point mask (``1 | 1 << a | 1 << b | 1 << (a ^ b)`` for
 two of its points a, b; bit 0 stands for the zero vector) in ``line_id``,
@@ -14,21 +16,19 @@ found by its point mask in ``plane_id``.  ``Tables.image`` maps a line or
 plane to the ID of its image under a matrix through the same lookups, so a
 group acts on IDs.  The lines inside each plane are one 155-bit int per
 plane in ``plane_lines``, so "no line of a set lies in any plane of
-another" is a single AND.
+another" is a single AND.  Only ``line_mask`` needs numpy, on first access.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 
-import numpy as np
-
-from .gf2geom import Subspace, act_vector, dot, dual, enumerate_subspaces
+from .gf2geom import Subspace, act_vector, dual, enumerate_subspaces
 
 __all__ = ["Tables", "tables"]
 
-N_POINTS = 31
 N_LINES = 155
 
 
@@ -46,7 +46,6 @@ class Tables:
         assert len(lines) == N_LINES
         self.lines = lines
         self.line_id = {l.mask: i for i, l in enumerate(lines)}
-        self.line_mask = np.array([l.mask for l in lines], dtype=np.uint32)
 
         # dual planes: plane i is the orthogonal complement of line i
         self.planes = tuple(dual(l) for l in lines)
@@ -63,29 +62,7 @@ class Tables:
             adj.append(m)
         self.adjacency = tuple(adj)
 
-        # solids, indexed by dual point p-1
-        line_in_solid = np.zeros((N_POINTS, N_LINES), dtype=bool)
-        for p in range(1, 32):
-            sm = 0
-            for v in range(32):
-                if dot(v, p) == 0:
-                    sm |= 1 << v
-            for k in range(N_LINES):
-                line_in_solid[p - 1, k] = (lm[k] & ~sm) == 0
-        self.line_in_solid = line_in_solid
-
-        # join_solid[i,j]: for disjoint lines i,j the solid they span,
-        # as the index of its dual point; -1 when the lines meet.  The
-        # dual point spans l_i^⊥ ∩ l_j^⊥, so the meet of the two dual
-        # planes' masks is {0, p} and p - 1 is its bit length minus 2.
-        pm = [p.mask for p in self.planes]
-        join_solid = np.full((N_LINES, N_LINES), -1, dtype=np.int16)
-        for i in range(N_LINES):
-            ai = adj[i]
-            for j in range(N_LINES):
-                if ai >> j & 1:
-                    join_solid[i, j] = (pm[i] & pm[j]).bit_length() - 2
-        self.join_solid = join_solid
+        self.line_solids = tuple(p.mask >> 1 for p in self.planes)
 
         # plane_lines[j]: the 7 lines inside plane j (the dual of line j),
         # one per pair of its points; line i lies in the dual plane of line
@@ -99,6 +76,13 @@ class Tables:
             }
             plane_lines.append(sum(1 << i for i in inside))
         self.plane_lines = tuple(plane_lines)
+
+    @functools.cached_property
+    def line_mask(self):
+        """The lines' point masks as a uint32 numpy array."""
+        import numpy as np
+
+        return np.array([l.mask for l in self.lines], dtype=np.uint32)
 
     def image(self, s: Subspace, m) -> int:
         """The ID of the image of the line or plane ``s`` under the invertible

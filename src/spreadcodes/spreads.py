@@ -12,8 +12,10 @@ separates spreads into three types:
                  regulus; the distinguished regulus is then the unique one
                  all of whose lines lie on just that regulus.
 
-The module provides both object-level operations on single spreads and a
-vectorized bulk pipeline (numpy) over the full exhaustive enumeration.
+A regulus is three lines in one solid, read from ``tables().line_solids``.
+The module provides object-level operations on single spreads and a
+vectorized bulk pipeline over the full exhaustive enumeration; only the
+bulk pipeline imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .gf2geom import Subspace
 from .pg42 import N_LINES, tables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Spread",
@@ -45,10 +48,6 @@ __all__ = [
     "classify_all",
     "BulkClassification",
 ]
-
-_TRIPLES = tuple(itertools.combinations(range(9), 3))
-_TRIPLE_I, _TRIPLE_J, _TRIPLE_K = np.array(_TRIPLES).T
-
 
 class SpreadError(ValueError):
     """Input does not satisfy the spread axioms."""
@@ -190,34 +189,40 @@ def _line_ids(lines) -> list:
 
 def is_regulus(l1: Subspace, l2: Subspace, l3: Subspace) -> bool:
     """True iff the three lines are pairwise disjoint and span a solid."""
-    a, b, c = _line_ids((l1, l2, l3))
-    adj = tables().adjacency
-    if not (adj[a] >> b & 1 and adj[a] >> c & 1 and adj[b] >> c & 1):
-        return False
-    return bool(_is_regulus_ids(a, b, c))
+    ids = _line_ids((l1, l2, l3))
+    ls = tables().line_solids
+    return _disjoint(ids) and _regulus_solids([ls[i] for i in ids]) != 0
 
 
-def _is_regulus_ids(a, b, c):
-    """Elementwise: do disjoint lines with ids a, b, c form a regulus?
-
-    The third line lies in the solid the first two span; two table lookups
-    that work on numpy arrays of ids alike.
-    """
-    t = tables()
-    return t.line_in_solid[t.join_solid[a, b], c]
+def _regulus_solids(masks):
+    """The solids holding three or more of the lines with these ``line_solids``
+    masks (ints, or numpy arrays elementwise), by a bit-sliced count.  Three
+    disjoint lines form a regulus iff they lie in one solid: iff it is nonzero."""
+    ones = twos = three = 0
+    for m in masks:
+        three |= twos & m
+        twos |= ones & m
+        ones |= m
+    return three
 
 
 def reguli(s: Spread) -> tuple:
-    """All regulus triples of the spread, as sorted index triples.
+    """All regulus triples of the spread, as sorted index triples in
+    ascending order: the lines in each solid that holds three of them.
 
     Every size-9 spread has exactly 4; anything else raises SpreadAnomaly.
     """
-    ids = np.array(s.line_ids)
-    hits = _is_regulus_ids(ids[_TRIPLE_I], ids[_TRIPLE_J], ids[_TRIPLE_K])
-    out = tuple(_TRIPLES[k] for k in np.flatnonzero(hits))
-    if len(out) != 4:
-        raise SpreadAnomaly(f"spread has {len(out)} reguli, expected 4")
-    return out
+    ls = tables().line_solids
+    masks = [ls[i] for i in s.line_ids]
+    three = _regulus_solids(masks)
+    out = []
+    while three:
+        solid = three & -three
+        three ^= solid
+        out.append(tuple(i for i, m in enumerate(masks) if m & solid))
+    if sorted(map(len, out)) != [3] * 4:
+        raise SpreadAnomaly(f"lines of the regulus solids: {out}, expected 4 triples")
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -346,9 +351,9 @@ def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -
     if (cover | plane.mask) != (1 << 32) - 1:
         raise SpreadError("lines and plane do not partition the point set")
 
-    if any(_is_regulus_ids(*t) for t in itertools.combinations(ids, 3)):
-        return False
     t = tables()
+    if _regulus_solids([t.line_solids[i] for i in ids]):
+        return False
     inside = t.plane_lines[t.plane_id[plane.mask]]
     return all(
         classify(Spread.from_line_ids(ids + [k])).tag == "X"
@@ -367,6 +372,8 @@ def all_spread_line_ids() -> np.ndarray:
     Cached in memory after the first call (the enumeration takes about a
     minute).
     """
+    import numpy as np
+
     adj = tables().adjacency
     rows = list(_clique_extend(adj, [], (1 << N_LINES) - 1))
     return np.array(rows, dtype=np.int16)
@@ -394,40 +401,36 @@ class BulkClassification:
 def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     """Classify a (M, 9) array of spreads at once.
 
-    Mirrors :func:`classify` but vectorized: a triple (i,j,k) is a regulus
-    iff line k lies in the solid spanned by lines i and j, the table lookup
-    that :func:`reguli` makes too.  Without ``arr`` it classifies the full
-    enumeration, once per process.
+    Mirrors :func:`classify` but vectorized: the count of :func:`reguli`
+    runs on the columns of ``line_solids`` masks, and a position's count is
+    the number of regulus solids on its line.  Without ``arr`` it
+    classifies the full enumeration, once per process.
     """
+    import numpy as np
+
     if arr is None:
         return _classify_enumeration()
-    m = len(arr)
-    counts = np.zeros((m, 9), dtype=np.int8)
-    n_reguli = np.zeros(m, dtype=np.int8)
-    for i, j, k in _TRIPLES:
-        r = _is_regulus_ids(arr[:, i], arr[:, j], arr[:, k])
-        n_reguli += r
-        counts[:, i] += r
-        counts[:, j] += r
-        counts[:, k] += r
-    if not (n_reguli == 4).all():
-        raise SpreadAnomaly("bulk classification found a spread without 4 reguli")
-
+    masks = np.array(tables().line_solids, dtype=np.uint32)[arr]
+    three = _regulus_solids(masks.T)
+    # keep only the regulus solids of each row
+    masks &= three[:, None]
+    counts = np.bitwise_count(masks).astype(np.int8)
+    n_reguli = np.bitwise_count(three).astype(np.int8)
+    # 4 solids of 3 lines and no count 0 leave (4, 1, ..., 1) for maximum 4
+    # and (2, 2, 2, 1, ..., 1) for maximum 2
     mx = counts.max(axis=1)
-    types = np.full(m, 2, dtype=np.uint8)
+    ok = (n_reguli == 4) & (counts.sum(axis=1) == 12) & (counts.min(axis=1) > 0)
+    if not (ok & ((mx == 4) | (mx == 2))).all():
+        raise SpreadAnomaly("bulk classification: regulus counts that match no type")
+    types = np.full(len(arr), 2, dtype=np.uint8)
     is_x = mx == 4
     types[is_x] = 0
-    common_pos = np.full(m, -1, dtype=np.int8)
+    common_pos = np.full(len(arr), -1, dtype=np.int8)
     common_pos[is_x] = counts[is_x].argmax(axis=1)
-
-    rest = np.flatnonzero(~is_x)
-    if rest.size:
-        if not (mx[rest] == 2).all():
-            raise SpreadAnomaly("bulk classification: unexpected count multiset")
-        # type E iff the lines at the three count-2 positions form a regulus
-        pos3 = np.nonzero(counts[rest] == 2)[1].reshape(-1, 3)
-        a, b, c = np.take_along_axis(arr[rest], pos3, axis=1).T
-        types[rest[_is_regulus_ids(a, b, c)]] = 1
+    # type E iff the lines at the three count-2 positions form a regulus;
+    # only the other rows have such positions, three each, in row order
+    triple = masks[counts == 2].reshape(-1, 3)
+    types[np.flatnonzero(~is_x)[_regulus_solids(triple.T) != 0]] = 1
     return BulkClassification(arr, n_reguli, counts, types, common_pos)
 
 

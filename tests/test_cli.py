@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import spreadcodes
 from spreadcodes import cli, corpus
 from spreadcodes.constructions import cps_build
 from spreadcodes.doubling import validate_doubling
@@ -291,6 +296,46 @@ class TestVerifyPaper:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 5
         assert all(l.endswith("ok") for l in out)
+
+
+class TestImports:
+    # run in a fresh interpreter: this one has numpy and every module loaded
+    SCRIPT = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        from spreadcodes import cli
+
+        db = sys.argv[1]
+        out = []
+        for argv in (["verify-paper"], ["classify", db],
+                     ["doubling", "--search-db", db], ["hkk", "--limit", "1"],
+                     ["cps", "--limit", "1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(argv)
+            loaded = [m for m in ("numpy", "spreadcodes.constructions")
+                      if m in sys.modules]
+            out.append([argv[0], rc, loaded])
+        print(json.dumps(out))
+        """
+    )
+
+    def test_object_level_commands_load_no_numpy(self, db_file):
+        """The object-level commands never import numpy, and only ``hkk``
+        and ``cps`` import ``constructions``."""
+        src = os.path.dirname(os.path.dirname(spreadcodes.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(db_file)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert json.loads(proc.stdout) == [
+            ["verify-paper", 0, []],
+            ["classify", 0, []],
+            ["doubling", 0, []],
+            ["hkk", 0, ["spreadcodes.constructions"]],
+            ["cps", 0, ["spreadcodes.constructions"]],
+        ]
 
 
 class TestOutputPins:

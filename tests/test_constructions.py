@@ -259,6 +259,14 @@ class TestHKK:
         bad = HKKConfig(cfg.p, cfg.h, cfg.e_prime, cfg.e_prime)
         with pytest.raises(ValueError):
             next(hkk_build(config=bad, gab=gab))
+        # E through p but a Gabidulin codeword, or a line of E through p
+        # that is far from every codeword but no plane
+        near = next(c for c in gab.codewords if cfg.p in c)
+        q = next(v for v in cfg.e.points() if v != cfg.p)
+        for e in (near, Subspace((cfg.p, q), 6)):
+            bad = HKKConfig(cfg.p, cfg.h, e, cfg.e_prime)
+            with pytest.raises(ValueError, match="too close to the Gabidulin"):
+                next(hkk_build(config=bad, gab=gab))
 
 
 class TestCPSGroup:

@@ -1,7 +1,5 @@
 """The incidence tables against their definitions, recomputed by rref/dot."""
 
-import numpy as np
-
 from spreadcodes import doubling
 from spreadcodes.constructions import cps_group
 from spreadcodes.gf2geom import Subspace, act_vector, dot, enumerate_subspaces, rref
@@ -43,21 +41,31 @@ class TestTables:
                     assert table[t.image(s, m)] == want
 
     def test_join_solid(self):
+        """Two lines span a solid iff their ``line_solids`` masks share
+        exactly one bit, and that bit is the spanned solid (dual point minus
+        one); lines that meet share the 3 or 7 solids through their span."""
         t = tables()
-        want = np.full((N_LINES, N_LINES), -1, dtype=np.int16)
+        ls = t.line_solids
         for i, a in enumerate(t.lines):
             for j, b in enumerate(t.lines):
+                common = ls[i] & ls[j]
                 if len(rref(a.basis + b.basis)) == 4:
-                    want[i, j] = _solid_index(a.basis + b.basis)
-        assert t.join_solid.dtype == want.dtype
-        assert (t.join_solid == want).all()
+                    assert common == 1 << _solid_index(a.basis + b.basis)
+                else:
+                    assert common.bit_count() in (3, 7)
 
     def test_line_in_solid(self):
+        """Bit p - 1 of ``line_solids[k]`` is set iff line k lies in the
+        solid with dual point p: ``dot`` with p is 0 on every basis vector
+        of the line."""
         t = tables()
-        for p in range(1, 32):
-            for k, line in enumerate(t.lines):
-                inside = all(dot(v, p) == 0 for v in line.basis)
-                assert t.line_in_solid[p - 1, k] == inside
+        for k, line in enumerate(t.lines):
+            want = sum(
+                1 << p - 1
+                for p in range(1, 32)
+                if all(dot(v, p) == 0 for v in line.basis)
+            )
+            assert t.line_solids[k] == want
 
     def test_perp(self):
         """Bit k of ``plane_lines[j]`` is set iff lines k and j are
@@ -88,3 +96,6 @@ class TestTables:
         for i, line in enumerate(t.lines):
             a, b, c = line.points()
             assert t.line_id[1 | 1 << a | 1 << b | 1 << c] == i
+        # the uint32 array of the same masks, for indexing by id arrays
+        assert t.line_mask.dtype.name == "uint32"
+        assert t.line_mask.tolist() == [l.mask for l in t.lines]

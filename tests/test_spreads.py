@@ -1,14 +1,16 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from spreadcodes.gf2geom import Subspace, dot, dual, join, parse_point, rref, span
+from spreadcodes.gf2geom import Subspace, dot, dual, join, parse_point, rank, span
 from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import (
     Spread,
     SpreadError,
     _clique_extend,
+    all_spread_line_ids,
     _disjoint,
     classify,
     classify_all,
@@ -33,11 +35,13 @@ def _orthogonal(a, b) -> bool:
 
 
 def rank_four_reguli(s):
-    """Oracle for ``reguli``: the index triples whose lines span a solid."""
+    """Oracle for ``reguli``, apart from ``line_solids`` and the bit-sliced
+    count that the scalar and bulk paths share: the index triples whose 6
+    basis vectors have rank 4, that is whose lines span a solid."""
     return tuple(
         t
         for t in itertools.combinations(range(9), 3)
-        if len(rref(sum((s.lines[i].basis for i in t), ()))) == 4
+        if rank(sum((s.lines[i].basis for i in t), ())) == 4
     )
 
 
@@ -385,6 +389,28 @@ class TestBulk:
             "IDelta": 3333120,
         }
         assert (bulk.n_reguli == 4).all()
+
+    def test_sha256_pins(self, bulk):
+        """The enumeration and every array of its classification, byte for
+        byte."""
+        def sha(a):
+            return hashlib.sha256(a.tobytes()).hexdigest()
+
+        assert sha(all_spread_line_ids()) == (
+            "a88016de129b47ce548f27d5b4daa3cc863c1cbeb97e584360a316884566ae03"
+        )
+        assert sha(bulk.types) == (
+            "ca726f75b0177b42fa48972ac1723f7575b0fa51ebd87bd98359b0bf2e293f4e"
+        )
+        assert sha(bulk.counts) == (
+            "e02a917c6c24c23e707e9a625ca4266128501d20aaebe9a7ebd36405d0477b82"
+        )
+        assert sha(bulk.common_pos) == (
+            "d8c3ecc2df926e0dd65f0ea9344e819ba34d3aee4561985ed64baca491e2c46c"
+        )
+        assert sha(bulk.n_reguli) == (
+            "3616eff8f86ce070fbfd4d59add13b803ef9d1a967959b71fb1fd7d73856c026"
+        )
 
     def test_bulk_agrees_with_scalar(self, bulk):
         import random
