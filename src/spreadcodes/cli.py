@@ -206,9 +206,10 @@ def cmd_doubling(args):
     if args.search_db:
         db = load_spread_file(args.search_db)
         types = [classify(s) for s in db]
+        pair_types = tuple(args.filter or ("X", "X"))
         out = [
             _pair_report(db[i], db[j], types[i], types[j])
-            for i, j in optimal_pairs(db, types, tuple(args.filter), args.limit)
+            for i, j in optimal_pairs(db, types, pair_types, args.limit)
         ]
         _emit(args, json.dumps(out, indent=2) + "\n")
         return 0
@@ -414,7 +415,7 @@ def build_parser() -> _Parser:
     sp.add_argument("file2", nargs="?")
     sp.add_argument("--search-db", help="spread file to search for optimal pairs")
     sp.add_argument("--filter", nargs=2, choices=("X", "E", "IDelta"),
-                    default=["X", "X"], metavar="TYPE",
+                    metavar="TYPE",
                     help="spread types of S1 and S2 for --search-db "
                          "(X, E or IDelta; default X X)")
     common(sp, formats=("text", "json"))
@@ -459,8 +460,11 @@ def main(argv=None) -> int:
             parser.error("doubling needs FILE1 FILE2 or --search-db")
         if args.search_db and args.format is not None:
             parser.error("doubling --search-db always prints JSON; drop --format")
-        if not args.search_db and args.limit is not None:
-            parser.error("--limit applies to doubling --search-db only")
+        for opt in ("limit", "filter"):
+            if not args.search_db and getattr(args, opt) is not None:
+                parser.error(f"--{opt} applies to doubling --search-db only")
+    if args.cmd == "census" and args.db and args.limit is not None:
+        parser.error("--limit applies to census --exhaustive only")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -17,6 +17,7 @@ the 3 non-orbit planes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
@@ -105,6 +106,7 @@ def _far(a: int, b: int) -> bool:
     return (a & b).bit_count() <= 2
 
 
+@functools.cache
 def build_lifted_gabidulin() -> LiftedGabidulinCode:
     """Construct the lifted (6,3,2) Gabidulin code, deterministic order.
 
@@ -124,6 +126,8 @@ def build_lifted_gabidulin() -> LiftedGabidulinCode:
     if not all(_far(a, b) for a, b in itertools.combinations(masks, 2)):
         raise AssertionError("rank distance below 2 in Gabidulin code")
     special = Subspace((8, 16, 32), 6)
+    if any(m & special.mask != 1 for m in masks):
+        raise AssertionError("Gabidulin codeword meets the special plane")
     return LiftedGabidulinCode(tuple(codewords), tuple(matrices), special)
 
 
@@ -180,10 +184,10 @@ HKK_OTHER_PATTERNS = ((2, 2, 2, 0), (2, 2, 1, 1), (3, 3, 2, 2), (3, 3, 3, 1))
 class HKKConfig:
     """A valid shortening configuration.
 
-    Invariants: p outside the special plane and outside h; h does not
-    contain the special plane; e_prime contains special ∩ h and lies in h;
-    e contains p; e and e_prime are at distance >= 4 from every Gabidulin
-    codeword and from each other.
+    Invariants: p outside the special plane S and outside h; h does not
+    contain S; e contains p; e_prime lies in h; e and e_prime meet S in at
+    least a line, that is they are far from every Gabidulin codeword (see
+    ``_far_planes``), and they are far from each other.
     """
 
     p: int
@@ -192,29 +196,30 @@ class HKKConfig:
     e_prime: Subspace
 
 
-def _far_planes(gab: LiftedGabidulinCode) -> tuple:
+@functools.cache
+def _far_planes() -> tuple:
     """The 99 planes of PG(5,2) far from every Gabidulin codeword, in
-    canonical-basis order (the order of ``enumerate_subspaces``).  The
-    1,395 candidates are tested as point masks of their bases; only the
-    survivors become ``Subspace`` objects."""
-    cw = [c.mask for c in gab.codewords]
-    planes = ((b, span_mask(b)) for b in rref_bases(6, 3))
+    canonical-basis order (the order of ``enumerate_subspaces``).  The 64
+    codewords pairwise share no line and none meets the special plane S
+    (``build_lifted_gabidulin`` asserts both), so their 448 lines are the
+    lines that miss S: a plane is far from them all iff it meets S in at
+    least a line.  These are S and 14 planes through each line of S."""
+    sm = build_lifted_gabidulin().special_plane.mask
     return tuple(
-        Subspace(b, 6) for b, m in planes if all(_far(m, c) for c in cw)
+        Subspace(b, 6) for b in rref_bases(6, 3) if (span_mask(b) & sm).bit_count() >= 4
     )
 
 
 def hkk_configs(
-    gab: Optional[LiftedGabidulinCode] = None,
     mode: str = "first",
     limit: Optional[int] = None,
 ) -> Iterator[HKKConfig]:
     """Enumerate valid HKK configurations.
 
     Every candidate comes from one list, the 99 planes far from the
-    Gabidulin code: E runs over those through p, E' over those inside h
-    that contain special ∩ h, and a pair is valid iff E and E' are far
-    from each other.
+    Gabidulin code, which are the planes meeting the special plane S in at
+    least a line (``_far_planes``): E runs over those through p, E' over
+    those inside h (so E' ∩ S = h ∩ S), and a valid pair is far apart.
 
     Deterministic order: p ascending, h ascending (canonical hyperplane
     order), then e_prime ascending, e ascending.  Mode ``first`` emits the
@@ -222,10 +227,8 @@ def hkk_configs(
     """
     if mode not in ("first", "all"):
         raise ValueError(f"unknown mode {mode!r}")
-    if gab is None:
-        gab = build_lifted_gabidulin()
-    far = _far_planes(gab)
-    sm = gab.special_plane.mask
+    far = _far_planes()
+    sm = build_lifted_gabidulin().special_plane.mask
     emitted = 0
     for p in range(1, 64):
         if sm >> p & 1:
@@ -235,11 +238,10 @@ def hkk_configs(
             hm = h.mask
             if (sm & ~hm) == 0 or hm >> p & 1:
                 continue
-            l2 = sm & hm
             valid = (
                 HKKConfig(p, h, e, ep)
                 for ep in far
-                if not (ep.mask & ~hm or l2 & ~ep.mask)
+                if not ep.mask & ~hm
                 for e in es
                 if _far(e.mask, ep.mask)
             )
@@ -261,7 +263,6 @@ def hkk_build(
     mode: str = "first",
     limit: Optional[int] = None,
     config: Optional[HKKConfig] = None,
-    gab: Optional[LiftedGabidulinCode] = None,
     stats: Optional[dict] = None,
 ) -> Iterator[HKKResult]:
     """Assemble doubling codes from HKK configurations.
@@ -274,13 +275,12 @@ def hkk_build(
     E and E' drawn from the 99 far planes none is discarded: all 56,448
     configurations of mode ``all`` give optimal codes.
     """
-    if gab is None:
-        gab = build_lifted_gabidulin()
+    gab = build_lifted_gabidulin()
     if config is not None:
         configs = [config]
         _check_hkk_config(config, gab)
     else:
-        configs = hkk_configs(gab, mode=mode)
+        configs = hkk_configs(mode=mode)
     t = tables()
     cw = [c.mask for c in gab.codewords]
     ph = None
@@ -334,9 +334,8 @@ def _check_hkk_config(cfg: HKKConfig, gab: LiftedGabidulinCode):
         raise ValueError("config: e does not contain p")
     if (sm & cfg.h.mask) & ~cfg.e_prime.mask or (cfg.e_prime.mask & ~cfg.h.mask):
         raise ValueError("config: e_prime must lie in h and contain special ∩ h")
-    cw = [c.mask for c in gab.codewords]
     for x in (cfg.e, cfg.e_prime):
-        if x.n != 6 or x.dim != 3 or not all(_far(x.mask, c) for c in cw):
+        if x not in _far_planes():
             raise ValueError("config: augmenting plane too close to the Gabidulin code")
     if not _far(cfg.e.mask, cfg.e_prime.mask):
         raise ValueError("config: e and e_prime too close")
@@ -447,7 +446,8 @@ def _by_basis(subspaces, ids) -> list:
     return sorted(ids, key=lambda i: subspaces[i].basis)
 
 
-def cps_orbits(group: Optional[list] = None) -> CPSOrbits:
+@functools.cache
+def cps_orbits() -> CPSOrbits:
     """Orbits of the CPS group on lines and planes, with goodness tags.
 
     A size-6 line orbit is good iff its lines are pairwise disjoint; a
@@ -455,8 +455,7 @@ def cps_orbits(group: Optional[list] = None) -> CPSOrbits:
     point.  The group acts on ids through ``Tables.image``; orbits and
     their members come in canonical-basis order.
     """
-    if group is None:
-        group = cps_group()
+    group = cps_group()
     t = tables()
 
     def orbits_of(subspaces):
@@ -510,7 +509,6 @@ def _completing_reguli(l1):
 def cps_build(
     variant: str = "basic",
     limit: Optional[int] = None,
-    orbits: Optional[CPSOrbits] = None,
 ) -> Iterator[Tuple[DoublingCode, CPSConfig]]:
     """Enumerate validated CPS doubling codes for one variant.
 
@@ -531,8 +529,7 @@ def cps_build(
     """
     if variant not in ("basic", "swap_reguli", "replace_plane"):
         raise ValueError(f"unknown variant {variant!r}")
-    if orbits is None:
-        orbits = cps_orbits()
+    orbits = cps_orbits()
     t = tables()
     plane_orbits = [
         tuple(t.plane_id[p.mask] for p in orbits.plane_orbits[i])

@@ -271,10 +271,9 @@ class PatternCensus:
         return out
 
 
-def pattern_census(
-    pairs: Iterable[Tuple[Spread, Spread]], type_filter: Tuple[str, str] = ("X", "X")
-) -> PatternCensus:
-    """Pattern census over an explicit stream of validated optimal pairs."""
+def pattern_census(pairs: Iterable[Tuple[Spread, Spread]]) -> PatternCensus:
+    """Pattern census over an explicit stream of validated optimal (X,X)
+    pairs; the patterns need a type-X S1, the ninth plane a type-X S2."""
     hist = {}
     census = PatternCensus(hist)
     last = None
@@ -282,9 +281,9 @@ def pattern_census(
         if s1 is not last:  # a census streams many pairs with one S1
             last, t1 = s1, classify(s1)
         t2 = classify(s2)
-        if (t1.tag, t2.tag) != type_filter:
+        if (t1.tag, t2.tag) != ("X", "X"):
             raise ValueError(
-                f"pair of types ({t1.tag},{t2.tag}) does not match {type_filter}"
+                f"pair of types ({t1.tag},{t2.tag}) does not match ('X', 'X')"
             )
         v = validate_doubling(s1, s2)
         if not v.optimal:
@@ -328,14 +327,12 @@ def optimal_pairs(
 
 
 def doubling_search(
-    spread_db: Sequence[Spread],
-    type_filter: Tuple[str, str] = ("X", "X"),
-    limit: Optional[int] = None,
+    spread_db: Sequence[Spread], limit: Optional[int] = None
 ) -> Iterator[DoublingCode]:
-    """Stream optimal doubling codes over ordered pairs from a spread list,
-    in the order of `optimal_pairs`; each spread is classified once."""
+    """Stream optimal (X,X) doubling codes over ordered pairs from a spread
+    list, in the order of `optimal_pairs`; each spread is classified once."""
     types = [classify(s) for s in spread_db]
-    for i, j in optimal_pairs(spread_db, types, type_filter, limit):
+    for i, j in optimal_pairs(spread_db, types, limit=limit):
         yield DoublingCode(spread_db[i], spread_db[j])
 
 

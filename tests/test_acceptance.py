@@ -193,16 +193,16 @@ def test_criterion_6_hkk_pipeline(capfd):
 
 def test_criterion_7_cps_pipeline(capfd, cps_completions):
     group = cps_group()
-    orbits = cps_orbits(group)
+    orbits = cps_orbits()
     structure_ok = (
         len(group) == 6
         and len(orbits.good_line_orbits) >= 1
         and len(orbits.good_plane_orbits) >= 1
     )
 
-    basic = list(cps_build("basic", orbits=orbits))
-    swap = list(cps_build("swap_reguli", orbits=orbits))
-    repl = list(cps_build("replace_plane", orbits=orbits))
+    basic = list(cps_build("basic"))
+    swap = list(cps_build("swap_reguli"))
+    repl = list(cps_build("replace_plane"))
     basic_types = sorted(
         {(classify(c.s1).tag, classify(c.s2).tag) for c, _ in basic}
     )

@@ -111,6 +111,8 @@ class TestOptions:
             ["doubling", "--search-db", "S1", "--format", "csv"],
             ["doubling", "S1", "S2", "--limit", "1"],
             ["doubling", "--search-db", "S1", "--format", "text"],
+            ["doubling", "S1", "S2", "--filter", "E", "E"],
+            ["census", "--db", "S1", "--limit", "1"],
         ],
     )
     def test_option_the_command_does_not_use_is_usage_error(

@@ -99,7 +99,7 @@ class TestShorten:
         """``shorten`` and ``hkk_build`` against shortening by ``Subspace``
         operations, with coordinates read off the pivots of H's RREF basis
         (each pivot occurs in one basis row only)."""
-        for res in hkk_build(limit=20, gab=gab):
+        for res in hkk_build(limit=20):
             cfg = res.config
             pivots = [b & -b for b in cfg.h.basis]
 
@@ -133,17 +133,17 @@ class TestShorten:
 
 
 class TestHKK:
-    def test_first_configs_deterministic(self, gab):
-        cfgs = list(hkk_configs(gab, mode="first", limit=2))
+    def test_first_configs_deterministic(self):
+        cfgs = list(hkk_configs(mode="first", limit=2))
         assert cfgs[0].p == 1
         assert cfgs[0].h.basis == (9, 2, 4, 16, 32)
         assert cfgs[0].e.basis == (1, 8, 16)
         assert cfgs[0].e_prime.basis == (2, 16, 32)
         assert cfgs[1].h.basis == (9, 2, 12, 16, 32)
-        assert list(hkk_configs(gab, mode="first", limit=2)) == cfgs
+        assert list(hkk_configs(mode="first", limit=2)) == cfgs
 
     def test_config_invariants(self, gab):
-        for cfg in hkk_configs(gab, mode="all", limit=20):
+        for cfg in hkk_configs(mode="all", limit=20):
             assert cfg.p not in gab.special_plane
             assert cfg.p not in cfg.h
             assert cfg.p in cfg.e
@@ -162,12 +162,27 @@ class TestHKK:
             if all(subspace_distance(e, c) >= 4 for c in gab.codewords)
         ]
         assert len(want) == 99
-        assert list(constructions._far_planes(gab)) == want
+        assert list(constructions._far_planes()) == want
 
-    def test_first_fit_configs_pinned(self, gab):
+    def test_far_plane_lemma_premises(self, gab):
+        """The lemma behind ``_far_planes``: the codewords' lines are the 448
+        lines of PG(5,2) that miss the special plane S, each in exactly one
+        codeword, and the far planes are S plus 14 planes through each of
+        the 7 lines of S."""
+        s = gab.special_plane
+        missing = [l for l in enumerate_subspaces(6, 2) if l.mask & s.mask == 1]
+        assert len(missing) == 448
+        for l in missing:
+            assert sum(l <= c for c in gab.codewords) == 1
+        by_meet = Counter(meet(e, s) for e in constructions._far_planes())
+        assert by_meet.pop(s) == 1
+        assert len(by_meet) == 7
+        assert all(m.dim == 2 and n == 14 for m, n in by_meet.items())
+
+    def test_first_fit_configs_pinned(self):
         rows = [
             (c.p, c.h.basis, c.e.basis, c.e_prime.basis)
-            for c in hkk_configs(gab, mode="first")
+            for c in hkk_configs(mode="first")
         ]
         assert len(rows) == 1568
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
@@ -181,18 +196,18 @@ class TestHKK:
             for r in results
         ]
 
-    def test_first_fit_codes_pinned(self, gab):
-        rows = self._code_rows(hkk_build(mode="first", gab=gab))
+    def test_first_fit_codes_pinned(self):
+        rows = self._code_rows(hkk_build(mode="first"))
         assert len(rows) == 1568
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "5afa5b55a7a39a7d388323560f47bfab37e043f746dd49a95a8b88d6058e64c8"
         )
 
     @pytest.mark.slow
-    def test_all_mode_configs_and_codes(self, gab):
+    def test_all_mode_configs_and_codes(self):
         rows = [
             (c.p, c.h.basis, c.e.basis, c.e_prime.basis)
-            for c in hkk_configs(gab, mode="all")
+            for c in hkk_configs(mode="all")
         ]
         assert len(rows) == 56448
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
@@ -201,19 +216,19 @@ class TestHKK:
         # every valid configuration assembles an optimal code: the one
         # discard path of hkk_build is never taken
         stats = {}
-        rows = self._code_rows(hkk_build(mode="all", gab=gab, stats=stats))
+        rows = self._code_rows(hkk_build(mode="all", stats=stats))
         assert stats == {}
         assert len(rows) == 56448
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "0536fc0f9010cf627dd234f97aeb2681dbb29318eeb7190a7c3e72cb1a60c521"
         )
 
-    def test_mode_error(self, gab):
+    def test_mode_error(self):
         with pytest.raises(ValueError):
-            next(hkk_configs(gab, mode="bogus"))
+            next(hkk_configs(mode="bogus"))
 
-    def test_build_first_result(self, gab):
-        res = next(hkk_build(mode="first", limit=1, gab=gab))
+    def test_build_first_result(self):
+        res = next(hkk_build(mode="first", limit=1))
         assert res.code.is_optimal
         assert min_distance(res.code) == 3
         assert res.l2_image.basis == (8, 16)
@@ -229,19 +244,17 @@ class TestHKK:
         assert rep.regulus_free
         assert rep.planes_disjoint_from_l2
 
-    def test_build_batch_all_valid(self, gab):
+    def test_build_batch_all_valid(self):
         stats = {}
-        results = list(hkk_build(mode="first", limit=5, gab=gab, stats=stats))
+        results = list(hkk_build(mode="first", limit=5, stats=stats))
         assert len(results) == 5
         for res in results:
             rep = hkk_pattern_check(res)
             assert rep.ok
             assert all(p in HKK_OTHER_PATTERNS for p in rep.other_patterns)
 
-    def test_discard_path_counts_a_config_that_is_not_two_spreads(
-        self, gab, monkeypatch
-    ):
-        cfg = next(hkk_configs(gab, mode="first", limit=1))
+    def test_discard_path_counts_a_config_that_is_not_two_spreads(self, monkeypatch):
+        cfg = next(hkk_configs(mode="first", limit=1))
 
         def first_line_twice(ids):
             # the spread check raises SpreadError: line 9 meets line 1
@@ -251,14 +264,14 @@ class TestHKK:
             constructions, "Spread", SimpleNamespace(from_line_ids=first_line_twice)
         )
         stats = {}
-        assert list(hkk_build(config=cfg, gab=gab, stats=stats)) == []
+        assert list(hkk_build(config=cfg, stats=stats)) == []
         assert stats == {"discarded": 1}
 
     def test_explicit_config_validated(self, gab):
-        cfg = next(hkk_configs(gab, mode="first", limit=1))
+        cfg = next(hkk_configs(mode="first", limit=1))
         bad = HKKConfig(cfg.p, cfg.h, cfg.e_prime, cfg.e_prime)
         with pytest.raises(ValueError):
-            next(hkk_build(config=bad, gab=gab))
+            next(hkk_build(config=bad))
         # E through p but a Gabidulin codeword, or a line of E through p
         # that is far from every codeword but no plane
         near = next(c for c in gab.codewords if cfg.p in c)
@@ -266,7 +279,7 @@ class TestHKK:
         for e in (near, Subspace((cfg.p, q), 6)):
             bad = HKKConfig(cfg.p, cfg.h, e, cfg.e_prime)
             with pytest.raises(ValueError, match="too close to the Gabidulin"):
-                next(hkk_build(config=bad, gab=gab))
+                next(hkk_build(config=bad))
 
 
 class TestCPSGroup:
@@ -312,8 +325,8 @@ class TestCPSBuild:
         with pytest.raises(ValueError):
             next(cps_build("bogus"))
 
-    def test_basic_variant(self, orbits):
-        out = list(cps_build("basic", orbits=orbits))
+    def test_basic_variant(self):
+        out = list(cps_build("basic"))
         assert len(out) == 8
         tally = Counter(
             (classify(code.s1).tag, classify(code.s2).tag, cps_regulus_check(code))
@@ -327,8 +340,8 @@ class TestCPSBuild:
             assert cfg.variant == "basic"
             assert cfg.replaced_index is None
 
-    def test_swap_reguli_variant(self, orbits):
-        out = list(cps_build("swap_reguli", orbits=orbits))
+    def test_swap_reguli_variant(self):
+        out = list(cps_build("swap_reguli"))
         assert len(out) == 8
         tally = Counter(
             (classify(code.s1).tag, classify(code.s2).tag, cps_regulus_check(code))
@@ -336,8 +349,8 @@ class TestCPSBuild:
         )
         assert tally == Counter({("X", "E", True): 4, ("E", "X", True): 4})
 
-    def test_replace_plane_variant(self, orbits):
-        out = list(cps_build("replace_plane", orbits=orbits))
+    def test_replace_plane_variant(self):
+        out = list(cps_build("replace_plane"))
         assert len(out) == 36
         for code, cfg in out:
             assert code.is_optimal
@@ -348,10 +361,10 @@ class TestCPSBuild:
         ns = sorted({cfg.point_n for _, cfg in out})
         assert ns == [1, 3, 5, 7, 11, 13, 15, 19, 21, 23, 27, 29, 31]
 
-    def test_limit_respected(self, orbits):
-        assert len(list(cps_build("basic", limit=3, orbits=orbits))) == 3
+    def test_limit_respected(self):
+        assert len(list(cps_build("basic", limit=3))) == 3
 
-    def test_disjoint_precheck_matches_spread_from_planes(self, orbits, monkeypatch):
+    def test_disjoint_precheck_matches_spread_from_planes(self, monkeypatch):
         """The pre-check on the 9 plane ids accepts exactly the plane sets
         with a dual spread."""
         check = constructions._disjoint
@@ -371,7 +384,7 @@ class TestCPSBuild:
 
         monkeypatch.setattr(constructions, "_disjoint", record)
         for variant in ("basic", "swap_reguli", "replace_plane"):
-            assert len(list(cps_build(variant, limit=12, orbits=orbits))) > 0
+            assert len(list(cps_build(variant, limit=12))) > 0
         assert seen == Counter({False: 688 + 688 + 2580, True: 16 + 16 + 24})
 
 
@@ -393,18 +406,18 @@ class TestOutputPins:
              "71328a7302fbdcaa1af8e0f55b606abfdb835ba08e2e310a530b9d23c98c8883"),
         ],
     )
-    def test_cps_build(self, orbits, variant, n, sha):
+    def test_cps_build(self, variant, n, sha):
         rows = [
             (c.s1.line_ids, c.s2.line_ids, cfg.point_n, cfg.replaced_index)
-            for c, cfg in cps_build(variant, orbits=orbits)
+            for c, cfg in cps_build(variant)
         ]
         assert len(rows) == n
         assert self._sha(rows) == sha
 
-    def test_hkk_build(self, gab):
+    def test_hkk_build(self):
         rows = [
             (r.code.s1.line_ids, r.code.s2.line_ids, r.config.p)
-            for r in hkk_build(limit=32, gab=gab)
+            for r in hkk_build(limit=32)
         ]
         assert len(rows) == 32
         assert self._sha(rows) == (

@@ -18,6 +18,7 @@ from spreadcodes.doubling import (
     hole_count,
     intersection_pattern,
     min_distance,
+    optimal_pairs,
     pattern_census,
     validate_doubling,
 )
@@ -93,7 +94,8 @@ class TestValidation:
         }
 
     def test_search_matches_per_pair_validation(self, typed_db):
-        tags = [classify(s).tag for s in typed_db]
+        types = [classify(s) for s in typed_db]
+        tags = [t.tag for t in types]
         for f in itertools.product(TAGS, repeat=2):
             want = [
                 (a, b)
@@ -101,10 +103,17 @@ class TestValidation:
                 for b, tb in zip(typed_db, tags)
                 if (ta, tb) == f and validate_doubling(a, b).optimal
             ]
-            got = [(c.s1, c.s2) for c in doubling_search(typed_db, f)]
+            got = [
+                (typed_db[i], typed_db[j])
+                for i, j in optimal_pairs(typed_db, types, f)
+            ]
             assert got == want
-            limited = [(c.s1, c.s2) for c in doubling_search(typed_db, f, limit=2)]
-            assert limited == want[:2]
+            limited = list(optimal_pairs(typed_db, types, f, limit=2))
+            assert [(typed_db[i], typed_db[j]) for i, j in limited] == want[:2]
+            if f == ("X", "X"):
+                assert [(c.s1, c.s2) for c in doubling_search(typed_db)] == want
+                limited = [(c.s1, c.s2) for c in doubling_search(typed_db, limit=2)]
+                assert limited == want[:2]
 
     def test_min_distance_matches_pairwise_sweep(self, reference_pairs):
         """``min_distance`` on point masks against ``subspace_distance`` on
@@ -240,6 +249,13 @@ class TestCensusStreaming:
         s1, _ = reference_pairs[0]
         with pytest.raises(ValueError):
             pattern_census([(s1, s1)])
+
+    @pytest.mark.parametrize("f", [("X", "E"), ("E", "X")])
+    def test_census_rejects_pair_not_of_type_xx(self, typed_db, f):
+        types = [classify(s) for s in typed_db]
+        i, j = next(optimal_pairs(typed_db, types, f))
+        with pytest.raises(ValueError, match="does not match"):
+            pattern_census([(typed_db[i], typed_db[j])])
 
     def test_search_on_small_db(self, reference_pairs):
         db = [s for pair in reference_pairs for s in pair]
