@@ -28,9 +28,7 @@ from .gf2geom import (
     _bits,
     act_vector,
     enumerate_subspaces,
-    join,
     rref_bases,
-    span_mask,
 )
 from .pg42 import N_LINES, tables
 from .spreads import (
@@ -41,7 +39,6 @@ from .spreads import (
     _regulus_solids,
     classify,
     is_regulus,
-    holes,
     verify_regulus_free_extension,
 )
 
@@ -203,10 +200,11 @@ def _far_planes() -> tuple:
     codewords pairwise share no line and none meets the special plane S
     (``build_lifted_gabidulin`` asserts both), so their 448 lines are the
     lines that miss S: a plane is far from them all iff it meets S in at
-    least a line.  These are S and 14 planes through each line of S."""
-    sm = build_lifted_gabidulin().special_plane.mask
+    least a line.  These are S and 14 planes through each line of S.  As
+    S = <8, 16, 32>, the RREF rows with a pivot (lowest bit) below bit 3 span
+    a space of dimension 3 - dim(plane ∩ S): at most one may have it."""
     return tuple(
-        Subspace(b, 6) for b in rref_bases(6, 3) if (span_mask(b) & sm).bit_count() >= 4
+        Subspace(b, 6) for b in rref_bases(6, 3) if sum(r & 7 != 0 for r in b) <= 1
     )
 
 
@@ -373,9 +371,9 @@ def hkk_pattern_check(result: HKKResult) -> HKKPatternReport:
     t2 = classify(code.s2)
     pats = [intersection_pattern(pl, s1, t1) for pl in code.planes]
     ninth = pats[8]
-    alpha9 = join(
-        s1.lines[t1.distinguished], Subspace(holes(s1), 5)
-    )
+    t = tables()  # α9 is the plane of the common line and the 4 holes
+    hole_mask = ~s1.cover_mask & ((1 << 32) - 2)
+    alpha9 = t.planes[t.plane_id[s1.lines[t1.distinguished].mask | hole_mask]]
     regfree = verify_regulus_free_extension(s1.lines[:8], alpha9)
     l2m = result.l2_image.mask
     disj = all((pl.mask & l2m) == 1 for pl in code.planes[:8])
@@ -502,7 +500,7 @@ def _completing_reguli(l1):
     ls = tables().line_solids
     for a, b, c in itertools.combinations(ids, 3):
         disjoint = adj[a] >> b & 1 and (adj[a] & adj[b]) >> c & 1
-        if disjoint and _regulus_solids((ls[a], ls[b], ls[c])):
+        if disjoint and _regulus_solids((ls[a], ls[b], ls[c]))[1]:
             yield a, b, c
 
 
@@ -520,7 +518,9 @@ def cps_build(
 
     Codes are emitted in deterministic order (line orbit, regulus, N,
     plane orbit, then replacement choices); only configurations whose
-    assembled code validates optimal are emitted.
+    assembled code validates optimal are emitted.  A plane set completes a
+    good plane orbit, itself pairwise disjoint, to a dual spread iff it is
+    disjoint and lies in the AND of the orbit's ``adjacency`` rows.
 
     Every line spread emitted, and every ``basic``/``swap_reguli`` dual
     spread, is a good orbit completed by a regulus and hence of type X or
@@ -531,10 +531,11 @@ def cps_build(
         raise ValueError(f"unknown variant {variant!r}")
     orbits = cps_orbits()
     t = tables()
-    plane_orbits = [
-        tuple(t.plane_id[p.mask] for p in orbits.plane_orbits[i])
-        for i in orbits.good_plane_orbits
-    ]
+    plane_orbits = []
+    for i in orbits.good_plane_orbits:
+        p1 = tuple(t.plane_id[p.mask] for p in orbits.plane_orbits[i])
+        adj_and = functools.reduce(int.__and__, (t.adjacency[j] for j in p1))
+        plane_orbits.append((p1, adj_and))
     emitted = 0
     for li in orbits.good_line_orbits:
         l1 = tuple(t.line_id[l.mask] for l in orbits.line_orbits[li])
@@ -553,30 +554,34 @@ def cps_build(
             covered = 0
             for i in plane_part:
                 covered |= t.lines[i].mask
+            # the planes through each line i of plane_part (plane j holds line i
+            # iff line j lies in plane i, by symmetry); <i, N> is the one with N
+            through = [
+                _by_basis(t.planes, _bits(t.plane_lines[i])) for i in plane_part
+            ]
             for n in range(1, 32):
                 if covered >> n & 1:
                     continue
-                base = tuple(
-                    t.plane_id[span_mask(t.lines[i].basis + (n,))] for i in plane_part
-                )
+                base = tuple(next(j for j in th if n in t.planes[j]) for th in through)
                 if variant in ("basic", "swap_reguli"):
                     choices = [(None, base)]
                 else:
-                    choices = []
-                    for k in range(3):
-                        # plane j holds line r1[k] iff line j lies in plane
-                        # r1[k], as orthogonality is symmetric
-                        inside = t.plane_lines[r1[k]]
-                        through = [j for j in range(N_LINES) if inside >> j & 1]
-                        for alt in _by_basis(t.planes, through):
-                            if alt != base[k] and not t.lines[alt].mask >> carrier_point & 1:
-                                choices.append((k, base[:k] + (alt,) + base[k + 1 :]))
-                for p1 in plane_orbits:
-                    for replaced, pset in choices:
-                        planes = p1 + pset
-                        if not _disjoint(planes):
+                    choices = [
+                        (k, base[:k] + (alt,) + base[k + 1 :])
+                        for k in range(3)
+                        for alt in through[k]
+                        if alt != base[k] and not t.lines[alt].mask >> carrier_point & 1
+                    ]
+                choices = [
+                    (replaced, pset, sum(1 << i for i in pset))
+                    for replaced, pset in choices
+                    if _disjoint(pset)
+                ]
+                for p1, adj_and in plane_orbits:
+                    for replaced, pset, bits in choices:
+                        if bits & ~adj_and:
                             continue
-                        s2 = Spread.from_line_ids(planes)
+                        s2 = Spread.from_line_ids(p1 + pset)
                         if not validate_doubling(s1, s2).optimal:
                             continue
                         cfg = CPSConfig(variant, l1, p1, r1, r2, n, pset, replaced)

@@ -32,7 +32,6 @@ from .spreads import (
     classify,
     classify_all,
     dual_spread,
-    holes,
 )
 
 if TYPE_CHECKING:
@@ -160,10 +159,10 @@ def _dim(mask: int) -> int:
 def min_distance(code: DoublingCode) -> int:
     """Minimum pairwise subspace distance over all 18 codewords, on their
     point masks: d(U, V) = dim U + dim V - 2 dim(U ∩ V) (``subspace_distance``
-    is the same formula on ``Subspace`` objects)."""
-    masks = [c.mask for c in code.codewords]
+    is the same formula on ``Subspace`` objects), each dimension taken once."""
+    cws = [(c.mask, _dim(c.mask)) for c in code.codewords]
     return min(
-        _dim(a) + _dim(b) - 2 * _dim(a & b) for a, b in itertools.combinations(masks, 2)
+        da + db - 2 * _dim(a & b) for (a, da), (b, db) in itertools.combinations(cws, 2)
     )
 
 
@@ -175,7 +174,7 @@ def _pattern_parts(plane: Subspace, s1: Spread, stype=None):
     pm = plane.mask
     common = s1.lines[stype.distinguished]
     meets = (pm & common.mask) > 1
-    hole_ct = sum(1 for h in holes(s1) if pm >> h & 1)
+    hole_ct = (pm & ~s1.cover_mask & ~1).bit_count()
     raw = tuple(
         sum(1 for i in t if (pm & s1.lines[i].mask) > 1) for t in stype.reguli
     )

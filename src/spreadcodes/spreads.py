@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .gf2geom import Subspace
+from .gf2geom import Subspace, _bits
 from .pg42 import N_LINES, tables
 
 if TYPE_CHECKING:
@@ -191,19 +191,20 @@ def is_regulus(l1: Subspace, l2: Subspace, l3: Subspace) -> bool:
     """True iff the three lines are pairwise disjoint and span a solid."""
     ids = _line_ids((l1, l2, l3))
     ls = tables().line_solids
-    return _disjoint(ids) and _regulus_solids([ls[i] for i in ids]) != 0
+    return _disjoint(ids) and _regulus_solids([ls[i] for i in ids])[1] != 0
 
 
 def _regulus_solids(masks):
-    """The solids holding three or more of the lines with these ``line_solids``
-    masks (ints, or numpy arrays elementwise), by a bit-sliced count.  Three
-    disjoint lines form a regulus iff they lie in one solid: iff it is nonzero."""
+    """The solids holding two or more, and three or more, of the lines with
+    these ``line_solids`` masks (ints, or numpy arrays elementwise), by a
+    bit-sliced count: (twos, three).  Three disjoint lines form a regulus iff
+    they lie in one solid: iff ``three`` is nonzero."""
     ones = twos = three = 0
     for m in masks:
         three |= twos & m
         twos |= ones & m
         ones |= m
-    return three
+    return twos, three
 
 
 def reguli(s: Spread) -> tuple:
@@ -214,7 +215,7 @@ def reguli(s: Spread) -> tuple:
     """
     ls = tables().line_solids
     masks = [ls[i] for i in s.line_ids]
-    three = _regulus_solids(masks)
+    three = _regulus_solids(masks)[1]
     out = []
     while three:
         solid = three & -three
@@ -333,6 +334,11 @@ def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -
     plane, partitions the 31 points.  Returns True iff the 8 lines contain
     no regulus and *every* line of the plane extends them to a type-X
     spread.
+
+    With no regulus in the 8 lines, each regulus of the 8 plus a line k is k
+    and two of the 8 in a solid: k is the common line (type X) iff it lies in
+    4 solids holding two of the 8 (``twos``); as every spread has 4 reguli,
+    any other count raises SpreadAnomaly.
     """
     lines8 = tuple(lines8)
     if len(lines8) != 8:
@@ -352,14 +358,14 @@ def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -
         raise SpreadError("lines and plane do not partition the point set")
 
     t = tables()
-    if _regulus_solids([t.line_solids[i] for i in ids]):
+    twos, three = _regulus_solids([t.line_solids[i] for i in ids])
+    if three:
         return False
-    inside = t.plane_lines[t.plane_id[plane.mask]]
-    return all(
-        classify(Spread.from_line_ids(ids + [k])).tag == "X"
-        for k in range(N_LINES)
-        if inside >> k & 1
-    )
+    for k in _bits(t.plane_lines[t.plane_id[plane.mask]]):
+        n = (twos & t.line_solids[k]).bit_count()
+        if n != 4:
+            raise SpreadAnomaly(f"line {k} is on {n} reguli with the 8 lines, not 4")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +417,7 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     if arr is None:
         return _classify_enumeration()
     masks = np.array(tables().line_solids, dtype=np.uint32)[arr]
-    three = _regulus_solids(masks.T)
+    three = _regulus_solids(masks.T)[1]
     # keep only the regulus solids of each row
     masks &= three[:, None]
     counts = np.bitwise_count(masks).astype(np.int8)
@@ -430,7 +436,7 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     # type E iff the lines at the three count-2 positions form a regulus;
     # only the other rows have such positions, three each, in row order
     triple = masks[counts == 2].reshape(-1, 3)
-    types[np.flatnonzero(~is_x)[_regulus_solids(triple.T) != 0]] = 1
+    types[np.flatnonzero(~is_x)[_regulus_solids(triple.T)[1] != 0]] = 1
     return BulkClassification(arr, n_reguli, counts, types, common_pos)
 
 

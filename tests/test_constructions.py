@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 from collections import Counter
@@ -33,6 +34,7 @@ from spreadcodes.pg42 import tables
 from spreadcodes.spreads import (
     Spread,
     SpreadError,
+    _disjoint,
     classify,
     dual_spread,
     is_regulus,
@@ -245,9 +247,11 @@ class TestHKK:
         assert rep.planes_disjoint_from_l2
 
     def test_build_batch_all_valid(self):
+        """Every first-fit code passes ``hkk_pattern_check``; their holes
+        cover all 31 points, so the α9 lookup meets every point."""
         stats = {}
-        results = list(hkk_build(mode="first", limit=5, stats=stats))
-        assert len(results) == 5
+        results = list(hkk_build(mode="first", stats=stats))
+        assert len(results) == 1568
         for res in results:
             rep = hkk_pattern_check(res)
             assert rep.ok
@@ -364,28 +368,71 @@ class TestCPSBuild:
     def test_limit_respected(self):
         assert len(list(cps_build("basic", limit=3))) == 3
 
-    def test_disjoint_precheck_matches_spread_from_planes(self, monkeypatch):
-        """The pre-check on the 9 plane ids accepts exactly the plane sets
-        with a dual spread."""
-        check = constructions._disjoint
+    @pytest.fixture(scope="class")
+    def visited(self):
+        """Run every variant in full, recording the plane sets that
+        ``cps_build`` checks with ``_disjoint`` and the 9 plane ids (a good
+        plane orbit then a plane set) it builds a dual spread from."""
+        t = tables()
+        orbits = cps_orbits()
+        p1s = {
+            tuple(t.plane_id[p.mask] for p in orbits.plane_orbits[i])
+            for i in orbits.good_plane_orbits
+        }
+        calls, built = [], set()
+
+        def disjoint(ids):
+            calls.append(tuple(ids))
+            return _disjoint(ids)
+
+        def from_line_ids(ids):
+            if tuple(ids[:6]) in p1s:
+                built.add((tuple(ids[:6]), tuple(ids[6:])))
+            return Spread.from_line_ids(ids)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions, "_disjoint", disjoint)
+            spread = SimpleNamespace(from_line_ids=from_line_ids)
+            mp.setattr(constructions, "Spread", spread)
+            for variant in ("basic", "swap_reguli", "replace_plane"):
+                assert len(list(cps_build(variant))) > 0
+        return SimpleNamespace(p1s=sorted(p1s), calls=calls, built=built)
+
+    def test_disjoint_once_per_plane_set(self, visited):
+        """``_disjoint`` sees each plane set on its own, not once per good
+        plane orbit: 176 + 176 + 1,728 calls over the three variants."""
+        assert all(len(ids) == 3 for ids in visited.calls)
+        assert len(visited.calls) == 176 + 176 + 1728
+
+    def test_disjoint_precheck_matches_spread_from_planes(self, visited):
+        """The pre-check accepts exactly the (good plane orbit, plane set)
+        pairs whose 9 planes have a dual spread."""
         planes_of = tables().planes
         seen = Counter()
+        for p1 in visited.p1s:
+            for pset in set(visited.calls):
+                try:
+                    spread_from_planes([planes_of[i] for i in p1 + pset])
+                    ok = True
+                except SpreadError:
+                    ok = False
+                assert ((p1, pset) in visited.built) == ok, (p1, pset)
+                seen[ok] += 1
+        assert seen == Counter({False: 2244, True: 20})
 
-        def record(ids):
-            ok = check(ids)
-            try:
-                spread_from_planes([planes_of[i] for i in ids])
-                built = True
-            except SpreadError:
-                built = False
-            assert ok == built, ids
-            seen[ok] += 1
-            return ok
-
-        monkeypatch.setattr(constructions, "_disjoint", record)
-        for variant in ("basic", "swap_reguli", "replace_plane"):
-            assert len(list(cps_build(variant, limit=12))) > 0
-        assert seen == Counter({False: 688 + 688 + 2580, True: 16 + 16 + 24})
+    def test_orbit_and_matches_disjoint_oracle(self, visited):
+        """The orbit-AND pre-check (a plane set disjoint on its own and inside
+        the AND of the orbit's ``adjacency`` rows) against its oracle, the
+        check ``cps_build`` made before: ``_disjoint`` on all 9 plane ids.
+        They agree because a good plane orbit is pairwise disjoint."""
+        adj = tables().adjacency
+        for p1 in visited.p1s:
+            assert _disjoint(p1)
+            orbit_and = functools.reduce(int.__and__, (adj[j] for j in p1))
+            for pset in set(visited.calls):
+                bits = sum(1 << i for i in pset)
+                fast = _disjoint(pset) and not bits & ~orbit_and
+                assert fast == _disjoint(p1 + pset), (p1, pset)
 
 
 class TestOutputPins:

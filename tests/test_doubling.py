@@ -174,6 +174,21 @@ class TestPatterns:
             ninth = dual_spread(s2)[st2.distinguished]
             assert hole_count(ninth, s1, st1) == want
 
+    def test_hole_count_matches_holes_oracle(self, reference_pairs, sample_spreads):
+        """``_pattern_parts`` counts a plane's holes by one AND with the
+        spread's cover; ``holes()`` lists them.  Every codeword plane of the
+        corpus pairs, and every plane of PG(4,2) against seeded X spreads."""
+        cases = [(s1, dual_spread(s2)) for s1, s2 in reference_pairs]
+        xs = [s for s in sample_spreads(200, 5) if classify(s).tag == "X"]
+        assert len(xs) > 10
+        cases += [(s, tables().planes) for s in xs]
+        for s1, planes in cases:
+            st = classify(s1)
+            hs = holes(s1)
+            for plane in planes:
+                want = sum(1 for h in hs if h in plane)
+                assert doubling._pattern_parts(plane, s1, st)[2] == want
+
     def test_raw_counts_account_for_all_plane_points(self, reference_pairs):
         # each plane has 7 points: regulus-line hits + common-line hits +
         # holes of the first spread

@@ -4,7 +4,17 @@ import itertools
 import numpy as np
 import pytest
 
-from spreadcodes.gf2geom import Subspace, dot, dual, join, parse_point, rank, span
+from spreadcodes.constructions import hkk_build
+from spreadcodes.gf2geom import (
+    Subspace,
+    dot,
+    dual,
+    enumerate_subspaces,
+    join,
+    parse_point,
+    rank,
+    span,
+)
 from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import (
     Spread,
@@ -335,6 +345,30 @@ class TestDualSpread:
                 Spread([dual(p) for p in ps])
 
 
+def classify_per_line_oracle(lines8, plane) -> bool:
+    """Oracle for ``verify_regulus_free_extension`` past its input checks,
+    the formulation it replaced: no 3 of the 8 lines form a regulus, and
+    ``classify`` types each spread of the 8 lines plus a line of the plane
+    as X."""
+    if any(is_regulus(*t) for t in itertools.combinations(lines8, 3)):
+        return False
+    return all(
+        classify(Spread(tuple(lines8) + (l,))).tag == "X"
+        for l in enumerate_subspaces(5, 2)
+        if l <= plane
+    )
+
+
+def _minus_line(s, i):
+    """The 8 lines of ``s`` other than line i, and the span of the 7 points
+    they leave uncovered (a plane iff they and it partition the points)."""
+    rest = [l for j, l in enumerate(s.lines) if j != i]
+    cover = 1
+    for l in rest:
+        cover |= l.mask
+    return rest, span([v for v in range(1, 32) if not cover >> v & 1], 5)
+
+
 class TestRegulusFreeExtension:
     def test_type_x_partition_passes(self, reference_pairs):
         # for a type-X spread, the 7 points not covered by the 8 non-common
@@ -354,6 +388,51 @@ class TestRegulusFreeExtension:
         s1, _ = reference_pairs[0]
         with pytest.raises(SpreadError):
             verify_regulus_free_extension(s1.lines[:8], dual_spread(s1)[0])
+
+    def test_agrees_with_classify_oracle_on_hkk_codes(self):
+        """The (8 lines, α9) input of every first-fit HKK code, α9 the join
+        of the common line and the holes, as ``hkk_pattern_check`` reads it."""
+        inputs = {}
+        for res in hkk_build():
+            s1 = res.code.s1
+            st = classify(s1)
+            assert st.distinguished == 8
+            alpha9 = join(s1.lines[8], span(holes(s1), 5))
+            inputs[s1.key] = (s1.lines[:8], alpha9)
+        assert len(inputs) > 1
+        for lines8, alpha9 in inputs.values():
+            assert verify_regulus_free_extension(lines8, alpha9)
+            assert classify_per_line_oracle(lines8, alpha9)
+
+    def test_agrees_with_classify_oracle_on_corpus_x_spreads(self, reference_pairs):
+        spreads = {s for pair in reference_pairs for s in pair}
+        xs = [(s, classify(s)) for s in spreads]
+        xs = [(s, st) for s, st in xs if st.tag == "X"]
+        assert xs
+        for s, st in xs:
+            rest, plane = _minus_line(s, st.distinguished)
+            assert plane.dim == 3
+            assert verify_regulus_free_extension(rest, plane)
+            assert classify_per_line_oracle(rest, plane)
+
+    def test_only_type_x_minus_its_common_line_is_a_partition(self, sample_spreads):
+        """An input that passes the partition check is a spread minus one
+        line.  Over these seeded spreads it is always a type-X spread minus
+        its common line, whose 8 lines hold no regulus, so the check returns
+        True: its False branch is not reached by any of them."""
+        found = 0
+        spreads = sample_spreads(200, 4)
+        for s in spreads:
+            st = classify(s)
+            for i in range(9):
+                rest, plane = _minus_line(s, i)
+                if plane.dim != 3:
+                    continue
+                found += 1
+                assert (st.tag, st.distinguished) == ("X", i)
+                assert verify_regulus_free_extension(rest, plane)
+                assert classify_per_line_oracle(rest, plane)
+        assert found == sum(classify(s).tag == "X" for s in spreads) == 23
 
     def test_wrong_arity_rejected(self, reference_pairs):
         s1, _ = reference_pairs[0]
