@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from . import __version__, corpus
 from .doubling import (
     DoublingCode,
-    doubling_search,
     exhaustive_xx_census,
     intersection_pattern,
     min_distance,
@@ -80,12 +80,10 @@ class RunManifest:
         )
 
 
-def _emit(args, text: str, manifest: RunManifest | None = None):
+def _emit(args, text: str):
     if getattr(args, "out", None):
-        digest = _atomic_write(args.out, text)
-        if manifest is None:
-            manifest = RunManifest(args.cmd, sys.argv[1:])
-        manifest.outputs[args.out] = digest
+        manifest = RunManifest(args.cmd, args.argv)
+        manifest.outputs[args.out] = _atomic_write(args.out, text)
         manifest.write(args.out)
     else:
         sys.stdout.write(text)
@@ -180,9 +178,8 @@ def cmd_classify(args):
     return 0
 
 
-def _pair_report(s1: Spread, s2: Spread, t1=None, t2=None):
-    """The report of one pair; ``t1`` and ``t2`` are the spreads'
-    classifications when the caller has them already."""
+def _pair_report(s1: Spread, s2: Spread):
+    """The report of one pair."""
     v = validate_doubling(s1, s2)
     rec = {"s1": s1.id, "s2": s2.id, "optimal": v.optimal}
     if not v.optimal:
@@ -191,11 +188,10 @@ def _pair_report(s1: Spread, s2: Spread, t1=None, t2=None):
         return rec
     code = DoublingCode(s1, s2)
     rec["min_distance"] = min_distance(code)
-    t1 = t1 or classify(s1)
-    t2 = t2 or classify(s2)
+    t1, t2 = classify(s1), classify(s2)
     rec["types"] = [t1.tag, t2.tag]
     if t1.tag == "X":
-        pats = [intersection_pattern(p, s1, t1) for p in code.planes]
+        pats = [intersection_pattern(p, s1) for p in code.planes]
         rec["patterns"] = [list(p.counts) for p in pats]
         if t2.tag == "X":
             rec["ninth_plane_pattern"] = list(pats[t2.distinguished].counts)
@@ -205,11 +201,10 @@ def _pair_report(s1: Spread, s2: Spread, t1=None, t2=None):
 def cmd_doubling(args):
     if args.search_db:
         db = load_spread_file(args.search_db)
-        types = [classify(s) for s in db]
-        pair_types = tuple(args.filter or ("X", "X"))
+        pairs = optimal_pairs(db, tuple(args.filter or ("X", "X")))
         out = [
-            _pair_report(db[i], db[j], types[i], types[j])
-            for i, j in optimal_pairs(db, types, pair_types, args.limit)
+            _pair_report(db[i], db[j])
+            for i, j in itertools.islice(pairs, args.limit)
         ]
         _emit(args, json.dumps(out, indent=2) + "\n")
         return 0
@@ -222,10 +217,7 @@ def cmd_doubling(args):
             file=sys.stderr,
         )
         return USAGE_ERROR
-    reports = [
-        _pair_report(s1, s2)
-        for s1, s2 in zip(s1s, s2s)
-    ]
+    reports = [_pair_report(s1, s2) for s1, s2 in zip(s1s, s2s)]
     if args.format == "json":
         _emit(args, json.dumps(reports, indent=2) + "\n")
     else:
@@ -264,16 +256,15 @@ def cmd_census(args):
         census = exhaustive_xx_census(limit=args.limit)
     else:
         db = load_spread_file(args.db)
-        census = pattern_census((c.s1, c.s2) for c in doubling_search(db))
-    manifest = RunManifest("census", sys.argv[1:])
+        census = pattern_census((db[i], db[j]) for i, j in optimal_pairs(db))
     if args.out:
+        manifest = RunManifest(args.cmd, args.argv)
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(("pattern", "meets_a9", "holes", "ninth", "count"))
         for (counts, meets, holes_, ninth), c in sorted(census.histogram.items()):
             w.writerow(("".join(map(str, counts)), int(meets), holes_, int(ninth), c))
-        digest = _atomic_write(args.out, buf.getvalue())
-        manifest.outputs[args.out] = digest
+        manifest.outputs[args.out] = _atomic_write(args.out, buf.getvalue())
         summary = {
             "pairs": census.pair_count,
             "planes": census.plane_count,
@@ -286,9 +277,7 @@ def cmd_census(args):
             spath, json.dumps(summary, indent=2) + "\n"
         )
         manifest.write(args.out)
-        sys.stdout.write(_census_text(census))
-    else:
-        sys.stdout.write(_census_text(census))
+    sys.stdout.write(_census_text(census))
     if census.violations:
         raise VerificationError(f"census violations: {census.violations[:3]}")
     return 0
@@ -368,7 +357,7 @@ def cmd_verify_paper(args):
             "min distance 3": min_distance(code) == 3,
         }
         if checks["s1 type X"] and checks["s2 type X"]:
-            pat = intersection_pattern(code.planes[t2.distinguished], s1, t1)
+            pat = intersection_pattern(code.planes[t2.distinguished], s1)
             checks[f"ninth pattern {exp['ninth_pattern']}"] = (
                 pat.counts == exp["ninth_pattern"]
             )
@@ -453,6 +442,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # what the manifest records: the arguments parsed here, not the host's
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     if getattr(args, "limit", None) is not None and args.limit < 0:
         parser.error(f"--limit must not be negative: {args.limit}")
     if args.cmd == "doubling":

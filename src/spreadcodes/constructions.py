@@ -208,10 +208,7 @@ def _far_planes() -> tuple:
     )
 
 
-def hkk_configs(
-    mode: str = "first",
-    limit: Optional[int] = None,
-) -> Iterator[HKKConfig]:
+def hkk_configs(mode: str = "first") -> Iterator[HKKConfig]:
     """Enumerate valid HKK configurations.
 
     Every candidate comes from one list, the 99 planes far from the
@@ -227,7 +224,6 @@ def hkk_configs(
         raise ValueError(f"unknown mode {mode!r}")
     far = _far_planes()
     sm = build_lifted_gabidulin().special_plane.mask
-    emitted = 0
     for p in range(1, 64):
         if sm >> p & 1:
             continue
@@ -243,11 +239,7 @@ def hkk_configs(
                 for e in es
                 if _far(e.mask, ep.mask)
             )
-            for cfg in itertools.islice(valid, 1 if mode == "first" else None):
-                yield cfg
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
+            yield from itertools.islice(valid, 1 if mode == "first" else None)
 
 
 @dataclass(frozen=True)
@@ -284,6 +276,8 @@ def hkk_build(
     ph = None
     emitted = 0
     for cfg in configs:
+        if limit is not None and emitted >= limit:
+            return
         p, hm = cfg.p, cfg.h.mask
         if (p, hm) != ph:
             # the shortened Gabidulin part depends on (P, H) only, and mode
@@ -316,8 +310,6 @@ def hkk_build(
             continue
         yield HKKResult(DoublingCode(s1, s2), cfg, t.lines[l2])
         emitted += 1
-        if limit is not None and emitted >= limit:
-            return
 
 
 def _check_hkk_config(cfg: HKKConfig, gab: LiftedGabidulinCode):
@@ -369,11 +361,10 @@ def hkk_pattern_check(result: HKKResult) -> HKKPatternReport:
     s1 = code.s1
     t1 = classify(s1)
     t2 = classify(code.s2)
-    pats = [intersection_pattern(pl, s1, t1) for pl in code.planes]
+    pats = [intersection_pattern(pl, s1) for pl in code.planes]
     ninth = pats[8]
     t = tables()  # α9 is the plane of the common line and the 4 holes
-    hole_mask = ~s1.cover_mask & ((1 << 32) - 2)
-    alpha9 = t.planes[t.plane_id[s1.lines[t1.distinguished].mask | hole_mask]]
+    alpha9 = t.planes[t.plane_id[s1.lines[t1.distinguished].mask | s1.hole_mask]]
     regfree = verify_regulus_free_extension(s1.lines[:8], alpha9)
     l2m = result.l2_image.mask
     disj = all((pl.mask & l2m) == 1 for pl in code.planes[:8])
@@ -579,6 +570,8 @@ def cps_build(
                 ]
                 for p1, adj_and in plane_orbits:
                     for replaced, pset, bits in choices:
+                        if limit is not None and emitted >= limit:
+                            return
                         if bits & ~adj_and:
                             continue
                         s2 = Spread.from_line_ids(p1 + pset)
@@ -587,8 +580,6 @@ def cps_build(
                         cfg = CPSConfig(variant, l1, p1, r1, r2, n, pset, replaced)
                         yield DoublingCode(s1, s2), cfg
                         emitted += 1
-                        if limit is not None and emitted >= limit:
-                            return
 
 
 def cps_regulus_check(code: DoublingCode) -> bool:

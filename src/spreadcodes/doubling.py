@@ -25,14 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .gf2geom import Subspace
 from .pg42 import N_LINES, tables
-from .spreads import (
-    Spread,
-    SpreadAnomaly,
-    SpreadType,
-    classify,
-    classify_all,
-    dual_spread,
-)
+from .spreads import Spread, SpreadAnomaly, classify, classify_all, dual_spread
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,7 +40,6 @@ __all__ = [
     "hole_count",
     "intersection_pattern",
     "pattern_census",
-    "doubling_search",
     "optimal_pairs",
     "exhaustive_xx_census",
     "ALLOWED_PATTERNS",
@@ -174,7 +166,7 @@ def _pattern_parts(plane: Subspace, s1: Spread, stype=None):
     pm = plane.mask
     common = s1.lines[stype.distinguished]
     meets = (pm & common.mask) > 1
-    hole_ct = (pm & ~s1.cover_mask & ~1).bit_count()
+    hole_ct = (pm & s1.hole_mask).bit_count()
     raw = tuple(
         sum(1 for i in t if (pm & s1.lines[i].mask) > 1) for t in stype.reguli
     )
@@ -275,11 +267,8 @@ def pattern_census(pairs: Iterable[Tuple[Spread, Spread]]) -> PatternCensus:
     pairs; the patterns need a type-X S1, the ninth plane a type-X S2."""
     hist = {}
     census = PatternCensus(hist)
-    last = None
     for s1, s2 in pairs:
-        if s1 is not last:  # a census streams many pairs with one S1
-            last, t1 = s1, classify(s1)
-        t2 = classify(s2)
+        t1, t2 = classify(s1), classify(s2)
         if (t1.tag, t2.tag) != ("X", "X"):
             raise ValueError(
                 f"pair of types ({t1.tag},{t2.tag}) does not match ('X', 'X')"
@@ -287,9 +276,8 @@ def pattern_census(pairs: Iterable[Tuple[Spread, Spread]]) -> PatternCensus:
         v = validate_doubling(s1, s2)
         if not v.optimal:
             raise ValueError(f"pair is not optimal (witness {v.witness})")
-        planes = dual_spread(s2)
-        for j, plane in enumerate(planes):
-            pat = intersection_pattern(plane, s1, t1)
+        for j, plane in enumerate(dual_spread(s2)):
+            pat = intersection_pattern(plane, s1)
             ninth = j == t2.distinguished
             key = (pat.counts, pat.meets_common, pat.hole_count, ninth)
             hist[key] = hist.get(key, 0) + 1
@@ -299,40 +287,24 @@ def pattern_census(pairs: Iterable[Tuple[Spread, Spread]]) -> PatternCensus:
 
 
 def optimal_pairs(
-    spread_db: Sequence[Spread],
-    types: Sequence[SpreadType],
-    type_filter: Tuple[str, str] = ("X", "X"),
-    limit: Optional[int] = None,
+    spread_db: Sequence[Spread], type_filter: Tuple[str, str] = ("X", "X")
 ) -> Iterator[Tuple[int, int]]:
     """Stream the index pairs (i, j) of optimal doubling pairs from a
-    spread list whose classifications are ``types``.
+    spread list, S1 and S2 of the types ``type_filter``.
 
     Pairs are tried in database order by the bit-set test of
     `validate_doubling`, without looking up witnesses.  Diagonal pairs
     (i, i) are included when they validate.
     """
-    cols = [j for j, t in enumerate(types) if t.tag == type_filter[1]]
-    emitted = 0
-    for i, t in enumerate(types):
-        if t.tag != type_filter[0]:
+    tags = [classify(s).tag for s in spread_db]
+    cols = [j for j, t in enumerate(tags) if t == type_filter[1]]
+    for i, t in enumerate(tags):
+        if t != type_filter[0]:
             continue
         s1 = spread_db[i]
         for j in cols:
             if not _conflicts(s1, spread_db[j]):
                 yield i, j
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
-
-
-def doubling_search(
-    spread_db: Sequence[Spread], limit: Optional[int] = None
-) -> Iterator[DoublingCode]:
-    """Stream optimal (X,X) doubling codes over ordered pairs from a spread
-    list, in the order of `optimal_pairs`; each spread is classified once."""
-    types = [classify(s) for s in spread_db]
-    for i, j in optimal_pairs(spread_db, types, limit=limit):
-        yield DoublingCode(spread_db[i], spread_db[j])
 
 
 # ---------------------------------------------------------------------------

@@ -74,21 +74,16 @@ class Spread:
     ``lines`` are the ``tables().lines`` objects of ``line_ids``.
     ``line_bits`` and ``perp_bits`` are 155-bit sets of line IDs: the
     spread's own lines, and the lines inside its dual planes (read from
-    ``tables().plane_lines``).
+    ``tables().plane_lines``).  ``hole_mask`` is the point mask of the
+    points on no line.  ``classify`` stores the type in ``_type``.
     """
 
-    __slots__ = ("lines", "line_ids", "line_bits", "perp_bits")
+    __slots__ = ("lines", "line_ids", "line_bits", "perp_bits", "hole_mask", "_type")
 
     def __init__(self, lines: Sequence[Subspace]):
         lines = tuple(lines)
         _check_count(lines)
-        line_id = tables().line_id
-        ids = []
-        for l in lines:
-            if l.n != 5 or l.dim != 2:
-                raise SpreadError(f"not a line of PG(4,2): {l!r}")
-            ids.append(line_id[l.mask])
-        self._set_ids(ids)
+        self._set_ids(_line_ids(lines))
 
     def __setattr__(self, *a):
         raise AttributeError("Spread is immutable")
@@ -116,13 +111,17 @@ class Spread:
             la, lb = t.lines[ids[a]], t.lines[ids[b]]
             raise SpreadError(f"lines {a + 1} and {b + 1} intersect: {la!r}, {lb!r}")
         line_bits = perp_bits = 0
+        cover = 1
         for i in ids:
             line_bits |= 1 << i
             perp_bits |= t.plane_lines[i]
+            cover |= t.lines[i].mask
         object.__setattr__(self, "line_ids", tuple(ids))
         object.__setattr__(self, "lines", tuple(t.lines[i] for i in ids))
         object.__setattr__(self, "line_bits", line_bits)
         object.__setattr__(self, "perp_bits", perp_bits)
+        object.__setattr__(self, "hole_mask", ((1 << 32) - 1) & ~cover)
+        object.__setattr__(self, "_type", None)
 
     @property
     def key(self) -> tuple:
@@ -133,13 +132,6 @@ class Spread:
     def id(self) -> str:
         h = hashlib.sha256(",".join(map(str, self.key)).encode()).hexdigest()
         return h[:12]
-
-    @property
-    def cover_mask(self) -> int:
-        m = 0
-        for l in self.lines:
-            m |= l.mask
-        return m & ~1
 
     def __eq__(self, other):
         return isinstance(other, Spread) and self.key == other.key
@@ -171,19 +163,18 @@ def _disjoint(ids) -> bool:
 
 def holes(s: Spread) -> tuple:
     """The 4 points covered by no line of the spread, ascending."""
-    m = ~s.cover_mask
-    out = [v for v in range(1, 32) if m >> v & 1]
+    out = _bits(s.hole_mask)
     if len(out) != 4:
         raise SpreadAnomaly(f"expected 4 holes, found {len(out)}")
-    return tuple(out)
+    return out
 
 
 def _line_ids(lines) -> list:
-    """Ids of lines of PG(4,2); ValueError for anything else."""
+    """Ids of lines of PG(4,2); SpreadError, a ValueError, for anything else."""
     line_id = tables().line_id
     for l in lines:
         if l.n != 5 or l.dim != 2:
-            raise ValueError(f"not a line of PG(4,2): {l!r}")
+            raise SpreadError(f"not a line of PG(4,2): {l!r}")
     return [line_id[l.mask] for l in lines]
 
 
@@ -245,7 +236,15 @@ class SpreadType:
 
 
 def classify(s: Spread) -> SpreadType:
-    """Type a spread by its per-line regulus-membership counts."""
+    """Type a spread by its per-line regulus-membership counts, once per
+    ``Spread`` object: the type gives positions in the stored line order,
+    so equal spreads stored in other orders are typed apart."""
+    if s._type is None:
+        object.__setattr__(s, "_type", _classify(s))
+    return s._type
+
+
+def _classify(s: Spread) -> SpreadType:
     regs = reguli(s)
     counts = [0] * 9
     for t in regs:
@@ -346,11 +345,10 @@ def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -
     if plane.n != 5 or plane.dim != 3:
         raise ValueError("need a plane of PG(4,2)")
     ids = _line_ids(lines8)
+    if not _disjoint(ids):
+        raise SpreadError("the 8 lines are not pairwise disjoint")
     cover = 1
-    for i, l in enumerate(lines8):
-        for m in lines8[i + 1 :]:
-            if (l.mask & m.mask) != 1:
-                raise SpreadError("the 8 lines are not pairwise disjoint")
+    for l in lines8:
         if (l.mask & plane.mask) != 1:
             raise SpreadError("a line meets the plane; not a partition")
         cover |= l.mask

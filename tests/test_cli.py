@@ -9,10 +9,20 @@ import pytest
 
 import spreadcodes
 from spreadcodes import cli, corpus
-from spreadcodes.constructions import cps_build
+from spreadcodes.constructions import cps_build, hkk_build
 from spreadcodes.doubling import validate_doubling
 from spreadcodes.spreadfile import format_spreads
-from spreadcodes.spreads import classify
+from spreadcodes.spreads import classify, reguli
+
+
+@pytest.fixture()
+def reguli_calls(monkeypatch):
+    """The spreads ``spreads.reguli`` is called on, the work of ``classify``."""
+    calls = []
+    monkeypatch.setattr(
+        "spreadcodes.spreads.reguli", lambda s: calls.append(s) or reguli(s)
+    )
+    return calls
 
 
 @pytest.fixture()
@@ -184,6 +194,20 @@ class TestAtomicOutput:
         # nothing goes to stdout when writing to a file
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-paper", "--out", "OUT"], ["census", "--db", "DB", "--out", "OUT"]],
+    )
+    def test_manifest_records_the_arguments_given_to_main(
+        self, db_file, tmp_path, capsys, argv
+    ):
+        out = tmp_path / "out.txt"
+        argv = [{"OUT": str(out), "DB": str(db_file)}.get(a, a) for a in argv]
+        assert cli.main(argv) == 0
+        manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["arguments"] == argv
+
 
 class TestClassify:
     def test_text(self, pair_file, capsys):
@@ -271,6 +295,14 @@ class TestCensus:
             cli.main(["census"])
         assert ei.value.code == 1
 
+    def test_db_census_classifies_each_spread_once(
+        self, mixed_db, capsys, reguli_calls
+    ):
+        db, optimal = mixed_db
+        assert cli.main(["census", "--db", str(db)]) == 0
+        assert f"pairs: {optimal.count(('X', 'X'))}\n" in capsys.readouterr().out
+        assert len(reguli_calls) == len(set(map(id, reguli_calls))) == 4
+
     def test_db_census_counts_only_xx_pairs(self, mixed_db, capsys):
         db, optimal = mixed_db
         assert any(t != ("X", "X") for t in optimal)
@@ -290,6 +322,26 @@ class TestConstructionCommands:
         assert cli.main(["cps", "--variant", "basic", "--limit", "2"]) == 0
         out = capsys.readouterr().out
         assert "basic" in out and "configs emitted: 2" in out
+
+
+class TestLimitZero:
+    """``--limit 0`` lists no item, as ``enumerate lines --limit 0`` does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hkk", "--limit", "0", "--format", "json"],
+            ["cps", "--limit", "0", "--format", "json"],
+            ["doubling", "--search-db", "DB", "--limit", "0"],
+        ],
+    )
+    def test_command_prints_no_item(self, db_file, capsys, argv):
+        assert cli.main([str(db_file) if a == "DB" else a for a in argv]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
+    @pytest.mark.parametrize("build", [hkk_build, cps_build])
+    def test_generator_yields_nothing(self, build):
+        assert list(build(limit=0)) == []
 
 
 class TestVerifyPaper:
@@ -403,7 +455,7 @@ class TestOutputPins:
              "d137f4296d6054a7aac55ad9ba846a3e5e7555084e11b45514ccf106002fe415"),
         ],
     )
-    def test_search_db(self, tmp_path, capsys, monkeypatch, types, sha):
+    def test_search_db(self, tmp_path, capsys, reguli_calls, types, sha):
         """``doubling --search-db`` on the ten corpus spreads and the first
         ``basic`` CPS pair (types X and E), each spread classified once."""
         code, _ = next(cps_build(variant="basic", limit=1))
@@ -411,8 +463,6 @@ class TestOutputPins:
         spreads += [code.s1, code.s2]
         db = tmp_path / "db.txt"
         db.write_text(format_spreads(spreads))
-        calls = []
-        monkeypatch.setattr(cli, "classify", lambda s: calls.append(s) or classify(s))
         argv = ["doubling", "--search-db", str(db), "--filter", *types]
         assert self._sha(capsys, argv) == sha
-        assert len(calls) == len(spreads)
+        assert len(reguli_calls) == len(spreads)

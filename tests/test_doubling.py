@@ -13,7 +13,6 @@ from spreadcodes.doubling import (
     NINTH_PLANE_PATTERNS,
     PATTERN_HOLES,
     DoublingCode,
-    doubling_search,
     exhaustive_xx_census,
     hole_count,
     intersection_pattern,
@@ -94,8 +93,7 @@ class TestValidation:
         }
 
     def test_search_matches_per_pair_validation(self, typed_db):
-        types = [classify(s) for s in typed_db]
-        tags = [t.tag for t in types]
+        tags = [classify(s).tag for s in typed_db]
         for f in itertools.product(TAGS, repeat=2):
             want = [
                 (a, b)
@@ -104,16 +102,12 @@ class TestValidation:
                 if (ta, tb) == f and validate_doubling(a, b).optimal
             ]
             got = [
-                (typed_db[i], typed_db[j])
-                for i, j in optimal_pairs(typed_db, types, f)
+                (typed_db[i], typed_db[j]) for i, j in optimal_pairs(typed_db, f)
             ]
             assert got == want
-            limited = list(optimal_pairs(typed_db, types, f, limit=2))
-            assert [(typed_db[i], typed_db[j]) for i, j in limited] == want[:2]
-            if f == ("X", "X"):
-                assert [(c.s1, c.s2) for c in doubling_search(typed_db)] == want
-                limited = [(c.s1, c.s2) for c in doubling_search(typed_db, limit=2)]
-                assert limited == want[:2]
+        assert list(optimal_pairs(typed_db)) == list(
+            optimal_pairs(typed_db, ("X", "X"))
+        )
 
     def test_min_distance_matches_pairwise_sweep(self, reference_pairs):
         """``min_distance`` on point masks against ``subspace_distance`` on
@@ -267,19 +261,18 @@ class TestCensusStreaming:
 
     @pytest.mark.parametrize("f", [("X", "E"), ("E", "X")])
     def test_census_rejects_pair_not_of_type_xx(self, typed_db, f):
-        types = [classify(s) for s in typed_db]
-        i, j = next(optimal_pairs(typed_db, types, f))
+        i, j = next(optimal_pairs(typed_db, f))
         with pytest.raises(ValueError, match="does not match"):
             pattern_census([(typed_db[i], typed_db[j])])
 
     def test_search_on_small_db(self, reference_pairs):
         db = [s for pair in reference_pairs for s in pair]
-        found = list(doubling_search(db, limit=3))
+        found = list(itertools.islice(optimal_pairs(db), 3))
         assert len(found) == 3
-        for code in found:
-            assert code.is_optimal
-            assert classify(code.s1).tag == "X"
-            assert classify(code.s2).tag == "X"
+        for i, j in found:
+            assert validate_doubling(db[i], db[j]).optimal
+            assert classify(db[i]).tag == "X"
+            assert classify(db[j]).tag == "X"
 
 
 class TestGL52Generators:

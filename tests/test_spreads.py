@@ -15,6 +15,7 @@ from spreadcodes.gf2geom import (
     rank,
     span,
 )
+from spreadcodes import spreads
 from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import (
     Spread,
@@ -60,7 +61,11 @@ class TestSpreadBasics:
         for s1, s2 in reference_pairs:
             for s in (s1, s2):
                 assert len(s.lines) == 9
-                assert bin(s.cover_mask).count("1") == 27
+                covered = {v for l in s.lines for v in l.points()}
+                assert len(covered) == 27
+                assert s.hole_mask == sum(
+                    1 << v for v in range(1, 32) if v not in covered
+                )
                 assert len(holes(s)) == 4
 
     def test_rejects_intersecting_lines(self, reference_pairs):
@@ -285,6 +290,37 @@ class TestClassify:
         opp = opposite_regulus([s.lines[i] for i in t])
         rest = [s.lines[i] for i in range(9) if i not in t]
         assert classify(Spread(rest + list(opp))).tag == "IDelta"
+
+    def test_type_follows_each_objects_line_order(self, reference_pairs, sample_spreads):
+        """Equal spreads whose lines are stored in other orders keep their
+        own positions: the common line or the distinguished triple of each
+        names the same lines."""
+        by_tag = {}
+        for s in [reference_pairs[0][0]] + sample_spreads(300, 1):
+            by_tag.setdefault(classify(s).tag, s)
+        assert set(by_tag) == {"X", "E", "IDelta"}
+        order = (4, 8, 0, 6, 2, 7, 1, 5, 3)
+        for tag, s in by_tag.items():
+            t = classify(s)
+            r = Spread.from_line_ids([s.line_ids[k] for k in order])
+            assert r == s
+            tr = classify(r)
+            assert tr.tag == tag
+            if tag == "X":
+                assert r.lines[tr.distinguished] == s.lines[t.distinguished]
+                assert tr.distinguished != t.distinguished
+            else:
+                got = {r.lines[i] for i in tr.distinguished}
+                assert got == {s.lines[i] for i in t.distinguished}
+
+    def test_classified_once_per_object(self, reference_pairs, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            spreads, "reguli", lambda s, f=reguli: calls.append(s) or f(s)
+        )
+        s = Spread.from_line_ids(reference_pairs[0][0].line_ids)
+        assert classify(s) is classify(s)
+        assert calls == [s]
 
     def test_all_three_types_reachable(self, sample_spreads):
         seen = set()
