@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from typing import Optional
 
 from . import __version__, corpus
 from .doubling import (
@@ -53,25 +53,40 @@ class _Parser(argparse.ArgumentParser):
 
 def _atomic_write(path: str, data: str) -> str:
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name the path asked for, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, path) from None
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-@dataclass
 class RunManifest:
-    command: str
-    arguments: list
-    version: str = __version__
-    timestamp: str = ""
-    outputs: dict = field(default_factory=dict)
+    """What a run wrote, dumped in this key order next to its output: the
+    command, its arguments, the version, the time of writing, and the
+    SHA-256 of each output file."""
+
+    def __init__(
+        self,
+        command: str,
+        arguments: list,
+        version: str = __version__,
+        timestamp: str = "",
+        outputs: Optional[dict] = None,
+    ):
+        self.command = command
+        self.arguments = arguments
+        self.version = version
+        self.timestamp = timestamp
+        self.outputs = {} if outputs is None else outputs
 
     def write(self, out_path: str):
         self.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")

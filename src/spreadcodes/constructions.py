@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .doubling import DoublingCode, intersection_pattern, validate_doubling
 from .gf2geom import (
@@ -79,8 +78,7 @@ def _gf8_mul(a: int, b: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class LiftedGabidulinCode:
+class LiftedGabidulinCode(NamedTuple):
     """64 planes of PG(5,2): row spaces of [I3 | M] over a rank-metric code."""
 
     codewords: tuple  # 64 Subspace, ambient 6
@@ -177,8 +175,7 @@ HKK_NINTH_PATTERNS = ((3, 3, 1, 1), (2, 2, 2, 2))
 HKK_OTHER_PATTERNS = ((2, 2, 2, 0), (2, 2, 1, 1), (3, 3, 2, 2), (3, 3, 3, 1))
 
 
-@dataclass(frozen=True)
-class HKKConfig:
+class HKKConfig(NamedTuple):
     """A valid shortening configuration.
 
     Invariants: p outside the special plane S and outside h; h does not
@@ -242,8 +239,7 @@ def hkk_configs(mode: str = "first") -> Iterator[HKKConfig]:
             yield from itertools.islice(valid, 1 if mode == "first" else None)
 
 
-@dataclass(frozen=True)
-class HKKResult:
+class HKKResult(NamedTuple):
     code: DoublingCode
     config: HKKConfig
     l2_image: Subspace  # the line (special ∩ h) after re-coordinatization
@@ -331,8 +327,7 @@ def _check_hkk_config(cfg: HKKConfig, gab: LiftedGabidulinCode):
         raise ValueError("config: e and e_prime too close")
 
 
-@dataclass(frozen=True)
-class HKKPatternReport:
+class HKKPatternReport(NamedTuple):
     ninth_pattern: tuple
     other_patterns: tuple  # 8 tuples
     ninth_meets_common: bool
@@ -421,8 +416,7 @@ def cps_group() -> list:
     return group
 
 
-@dataclass(frozen=True)
-class CPSOrbits:
+class CPSOrbits(NamedTuple):
     line_orbits: tuple  # tuples of Subspace
     plane_orbits: tuple
     good_line_orbits: tuple  # indices into line_orbits
@@ -464,8 +458,7 @@ def cps_orbits() -> CPSOrbits:
     return CPSOrbits(lorbs, porbs, good_l, good_p)
 
 
-@dataclass(frozen=True)
-class CPSConfig:
+class CPSConfig(NamedTuple):
     """One CPS code's ingredients, as ids of ``tables()``: a line by its
     line id, a plane by the line id of its dual line."""
 

@@ -20,8 +20,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .gf2geom import Subspace
 from .pg42 import N_LINES, tables
@@ -73,8 +80,7 @@ PATTERN_HOLES = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of validating a doubling pair.
 
     ``witness`` is a (line_index, plane_index) pair with the line of s1
@@ -173,8 +179,7 @@ def _pattern_parts(plane: Subspace, s1: Spread, stype=None):
     return raw, meets, hole_ct
 
 
-@dataclass(frozen=True)
-class IntersectionPattern:
+class IntersectionPattern(NamedTuple):
     """Per-regulus meet counts of a plane against a type-X spread."""
 
     counts: tuple  # descending 4-tuple
@@ -207,7 +212,6 @@ def hole_count(plane: Subspace, s1: Spread, stype=None) -> Tuple[bool, int]:
     return meets, hole_ct
 
 
-@dataclass
 class PatternCensus:
     """Histogram of intersection patterns over a set of doubling pairs.
 
@@ -216,10 +220,17 @@ class PatternCensus:
     common line.
     """
 
-    histogram: dict
-    pair_count: int = 0
-    violations: list = field(default_factory=list)
-    s1_count: int = 0
+    def __init__(
+        self,
+        histogram: dict,
+        pair_count: int = 0,
+        violations: Optional[list] = None,
+        s1_count: int = 0,
+    ):
+        self.histogram = histogram
+        self.pair_count = pair_count
+        self.violations = [] if violations is None else violations
+        self.s1_count = s1_count
 
     @property
     def plane_count(self) -> int:

@@ -106,7 +106,8 @@ class Subspace:
         if n < 1 or n > 12:
             raise ValueError(f"unsupported ambient dimension {n}")
         basis = rref(vectors)
-        if basis and basis[-1] >> n:
+        # rows are sorted by their lowest bit, so any row may hold the highest
+        if max(basis, default=0) >> n:
             raise ValueError("vector outside ambient space")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)

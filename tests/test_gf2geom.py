@@ -111,6 +111,22 @@ class TestLatticeOps:
             assert meet(u, u) == u
             assert join(u, span([], 5)) == u
 
+    def test_vector_outside_ambient_rejected(self):
+        from spreadcodes.pg42 import tables
+        from spreadcodes.spreads import Spread, SpreadError
+
+        # RREF sorts rows by their lowest bit: here the out-of-range row
+        # (33 = bits 0 and 5) comes first, so the last row alone looks fine
+        assert rref((33, 2)) == (33, 2)
+        for vectors in ((33, 2), (2, 33), (35, 2), (64,)):
+            with pytest.raises(ValueError, match="outside ambient"):
+                Subspace(vectors, 5)
+        # in GF(2)^6 the same vectors are a line of PG(5,2), not of PG(4,2)
+        line = Subspace((33, 2), 6)
+        assert line.points() == (2, 33, 35)
+        with pytest.raises(SpreadError, match="not a line of PG"):
+            Spread([line, *tables().lines[:8]])
+
     def test_mixed_ambient_rejected(self):
         u = span([1], 5)
         v = span([1], 6)

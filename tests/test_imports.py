@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used or re-exported."""
+"""Every name a module of the package imports is used or re-exported, and
+no module imports ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,8 @@ import pytest
 
 import spreadcodes
 
-MODULES = sorted(
-    p for p in Path(spreadcodes.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(spreadcodes.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list:
@@ -45,3 +45,27 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     src = "import os\nfrom x import a, b as c\n__all__ = ['a']\nprint(os)\n"
     assert _unused_imports(src) == [(2, "c")]
+
+
+def _dataclass_imports(source: str) -> list:
+    """Lines of ``source`` that import ``dataclasses``: it loads ``inspect``,
+    ``ast`` and ``dis`` at the start of every command, so records are
+    ``NamedTuple`` or plain classes instead."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "dataclasses"
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert _dataclass_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_dataclasses_import():
+    src = "import os\nimport dataclasses\ndef f():\n    from dataclasses import field\n"
+    assert _dataclass_imports(src) == [2, 4]

@@ -67,6 +67,19 @@ class TestTables:
             )
             assert t.line_solids[k] == want
 
+    def test_adjacency_matches_disjointness_oracle(self):
+        """Bit j of ``adjacency[i]`` is set iff lines i and j are distinct
+        and disjoint: their point masks share only the zero vector."""
+        t = tables()
+        lm = [l.mask for l in t.lines]
+        for i in range(N_LINES):
+            want = 0
+            for j in range(N_LINES):
+                if i != j and lm[i] & lm[j] == 1:
+                    want |= 1 << j
+            assert t.adjacency[i] == want
+        assert len(t.adjacency) == N_LINES
+
     def test_perp(self):
         """Bit k of ``plane_lines[j]`` is set iff lines k and j are
         orthogonal, by ``dot`` on their bases."""
