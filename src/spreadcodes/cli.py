@@ -464,6 +464,8 @@ def main(argv=None) -> int:
     if args.cmd == "doubling":
         if not args.search_db and not (args.file1 and args.file2):
             parser.error("doubling needs FILE1 FILE2 or --search-db")
+        if args.search_db and args.file1:
+            parser.error("doubling takes FILE1 FILE2 or --search-db, not both")
         if args.search_db and args.format is not None:
             parser.error("doubling --search-db always prints JSON; drop --format")
         for opt in ("limit", "filter"):

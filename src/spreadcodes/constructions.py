@@ -248,7 +248,6 @@ class HKKResult(NamedTuple):
 def hkk_build(
     mode: str = "first",
     limit: Optional[int] = None,
-    config: Optional[HKKConfig] = None,
     stats: Optional[dict] = None,
 ) -> Iterator[HKKResult]:
     """Assemble doubling codes from HKK configurations.
@@ -262,16 +261,11 @@ def hkk_build(
     configurations of mode ``all`` give optimal codes.
     """
     gab = build_lifted_gabidulin()
-    if config is not None:
-        configs = [config]
-        _check_hkk_config(config, gab)
-    else:
-        configs = hkk_configs(mode=mode)
     t = tables()
     cw = [c.mask for c in gab.codewords]
     ph = None
     emitted = 0
-    for cfg in configs:
+    for cfg in hkk_configs(mode=mode):
         if limit is not None and emitted >= limit:
             return
         p, hm = cfg.p, cfg.h.mask
@@ -306,25 +300,6 @@ def hkk_build(
             continue
         yield HKKResult(DoublingCode(s1, s2), cfg, t.lines[l2])
         emitted += 1
-
-
-def _check_hkk_config(cfg: HKKConfig, gab: LiftedGabidulinCode):
-    sm = gab.special_plane.mask
-    if sm >> cfg.p & 1:
-        raise ValueError("config: p lies in the special plane")
-    if cfg.p in cfg.h:
-        raise ValueError("config: p lies in h")
-    if (sm & ~cfg.h.mask) == 0:
-        raise ValueError("config: h contains the special plane")
-    if cfg.p not in cfg.e:
-        raise ValueError("config: e does not contain p")
-    if (sm & cfg.h.mask) & ~cfg.e_prime.mask or (cfg.e_prime.mask & ~cfg.h.mask):
-        raise ValueError("config: e_prime must lie in h and contain special ∩ h")
-    for x in (cfg.e, cfg.e_prime):
-        if x not in _far_planes():
-            raise ValueError("config: augmenting plane too close to the Gabidulin code")
-    if not _far(cfg.e.mask, cfg.e_prime.mask):
-        raise ValueError("config: e and e_prime too close")
 
 
 class HKKPatternReport(NamedTuple):

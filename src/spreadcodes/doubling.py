@@ -18,10 +18,9 @@ representative S1 times the number of type-X spreads.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from typing import (
-    TYPE_CHECKING,
     Iterable,
     Iterator,
     NamedTuple,
@@ -32,10 +31,7 @@ from typing import (
 
 from .gf2geom import Subspace
 from .pg42 import N_LINES, tables
-from .spreads import Spread, SpreadAnomaly, classify, classify_all, dual_spread
-
-if TYPE_CHECKING:
-    import numpy as np
+from .spreads import Spread, SpreadAnomaly, classify, classify_cliques, dual_spread
 
 __all__ = [
     "DoublingCode",
@@ -328,60 +324,65 @@ _GENERATORS = (
 )
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    # binom[i][k] = C(i, k + 1): by the combinatorial number system, the sum
-    # over an ascending row of 9 distinct line ids is a distinct int64 per row
-    binom = [[math.comb(i, k + 1) for k in range(9)] for i in range(N_LINES)]
-    return np.array(binom, dtype=np.int64)[rows, np.arange(9)].sum(axis=1)
-
-
-def _line_permutation(m) -> np.ndarray:
-    """perm[i] is the line id of the image of line i under the matrix ``m``."""
-    import numpy as np
-
+def _line_permutations() -> tuple:
+    """Per generator, the line permutation as a tuple: entry i is the line
+    id of the image of line i."""
     t = tables()
-    return np.array([t.image(l, m) for l in t.lines], dtype=np.int16)
+    return tuple(tuple(t.image(l, g) for l in t.lines) for g in _GENERATORS)
 
 
-def _certify_orbit(rows: np.ndarray) -> None:
-    """Certify that the generators carry row 0 onto every row.
+def _orbit(start, images) -> set:
+    """The orbit of ``start``, by a breadth-first search: ``images(x)``
+    yields the images of x under the generators."""
+    seen, frontier = {start}, {start}
+    while frontier:
+        frontier = {y for x in frontier for y in images(x)} - seen
+        seen |= frontier
+    return seen
 
-    ``rows`` are distinct spreads as ascending line-id rows.  Each row's
-    image under each generator must be a row, and a breadth-first search
-    from row 0 must reach all rows; otherwise SpreadAnomaly.
+
+@functools.cache
+def _xx_context() -> Tuple[Spread, int]:
+    """(type-X spread #0, number of type-X spreads N_X), once the type-X
+    spreads are certified to be one orbit of the generated group.
+
+    Three certificates, each a SpreadAnomaly when it fails:
+
+    1. The generators are transitive on the 155 lines: the orbit of line 0
+       under their line permutations is every line.
+    2. Collineations keep spread types, so by (1) every line lies on as many
+       type-X spreads as line 0 does, N_X(line 0); counting the pairs
+       (line, type-X spread through it) twice, 155 N_X(line 0) = 9 N_X.
+       N_X(line 0) comes from classifying every spread through line 0.
+    3. Spread #0, the first type-X spread through line 0 in lexicographic
+       order, has an orbit of N_X members.  Its orbit holds type-X spreads
+       only, so it is all of them.
     """
-    import numpy as np
-
-    keys = _row_keys(rows)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    images = []
-    for g in _GENERATORS:
-        img = _row_keys(np.sort(_line_permutation(g)[rows], axis=1))
-        pos = np.minimum(np.searchsorted(sorted_keys, img), len(rows) - 1)
-        outside = np.flatnonzero(sorted_keys[pos] != img)
-        if outside.size:
-            r = rows[outside[0]]
-            raise SpreadAnomaly(
-                f"a GL(5,2) generator maps spread {Spread.from_line_ids(r).id} "
-                f"(line ids {r.tolist()}) outside the {len(rows)} type-X spreads"
-            )
-        images.append(order[pos])
-    seen = np.zeros(len(rows), dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        step = np.concatenate([img[frontier] for img in images])
-        frontier = np.unique(step[~seen[step]])
-        seen[frontier] = True
-    orbit = int(seen.sum())
-    if orbit != len(rows):
+    perms = _line_permutations()
+    lines = len(_orbit(0, lambda i: (p[i] for p in perms)))
+    if lines != N_LINES:
+        raise SpreadAnomaly(
+            f"the GL(5,2) generators carry line 0 onto {lines} of {N_LINES} lines"
+        )
+    through0 = classify_cliques([0], tables().adjacency[0])
+    x_rows = through0.line_ids[through0.types == 0]
+    if N_LINES * len(x_rows) % 9:
+        raise SpreadAnomaly(
+            f"{N_LINES} x {len(x_rows)} type-X spreads through line 0 "
+            f"is not a multiple of 9"
+        )
+    n_x = N_LINES * len(x_rows) // 9
+    s1 = Spread.from_line_ids(x_rows[0])
+    # a spread's key is its sorted line ids
+    orbit = len(
+        _orbit(s1.key, lambda k: (tuple(sorted(p[i] for i in k)) for p in perms))
+    )
+    if orbit != n_x:
         raise SpreadAnomaly(
             f"the orbit of type-X spread #0 has {orbit} members, "
-            f"but there are {len(rows)} type-X spreads"
+            f"but there are {n_x} type-X spreads"
         )
+    return s1, n_x
 
 
 def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
@@ -397,28 +398,23 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     kept too.  So S2 -> g^-T S2 is a pattern-keeping bijection from the
     partners of S1 (the type-X spreads with no line orthogonal to a line
     of S1) onto those of g S1, and all S1 in one orbit have the same
-    histogram.  Once the type-X spreads are certified to be one orbit of
-    the generated group, the census of n first spreads is the histogram of
-    type-X spread #0 times n.
+    histogram.  `_xx_context` certifies that the type-X spreads are one
+    orbit of the generated group and counts them without enumerating
+    them, so the census of n first spreads is the histogram of type-X
+    spread #0 times n.
 
     ``limit`` takes only the first ``limit`` type-X spreads as S1 (for
     smoke tests); by default all of them.
     """
-    import numpy as np
-
-    bulk = classify_all()
-    x_rows = bulk.line_ids[bulk.types == 0]
-    _certify_orbit(x_rows)
-    n = len(x_rows) if limit is None else max(0, min(limit, len(x_rows)))
+    s1, n_x = _xx_context()
+    n = n_x if limit is None else max(0, min(limit, n_x))
     census = PatternCensus({}, s1_count=n)
     if n:
-        s1 = Spread.from_line_ids(x_rows[0])
         # a line of S1 lies in the dual plane of line j iff line j lies in
         # the dual plane of that line (orthogonality is symmetric), so the
-        # partners are the rows with no line in ``s1.perp_bits``
-        bits = s1.perp_bits
-        forbidden = np.array([bits >> j & 1 for j in range(N_LINES)], dtype=bool)
-        partners = x_rows[~forbidden[x_rows].any(axis=1)]
+        # partners are the type-X spreads of lines outside ``s1.perp_bits``
+        bulk = classify_cliques([], (1 << N_LINES) - 1 & ~s1.perp_bits)
+        partners = bulk.line_ids[bulk.types == 0]
         one = pattern_census((s1, Spread.from_line_ids(r)) for r in partners)
         census.histogram = {key: c * n for key, c in one.histogram.items()}
         census.pair_count = one.pair_count * n

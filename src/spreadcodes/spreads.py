@@ -14,8 +14,9 @@ separates spreads into three types:
 
 A regulus is three lines in one solid, read from ``tables().line_solids``.
 The module provides object-level operations on single spreads and a
-vectorized bulk pipeline over the full exhaustive enumeration; only the
-bulk pipeline imports numpy, when called.
+vectorized bulk pipeline over the full exhaustive enumeration, or over the
+spreads that extend given lines; only the bulk pipeline imports numpy,
+when called.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "verify_regulus_free_extension",
     "all_spread_line_ids",
     "classify_all",
+    "classify_cliques",
     "BulkClassification",
 ]
 
@@ -433,6 +435,18 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     triple = masks[counts == 2].reshape(-1, 3)
     types[np.flatnonzero(~is_x)[_regulus_solids(triple.T)[1] != 0]] = 1
     return BulkClassification(arr, n_reguli, counts, types, common_pos)
+
+
+def classify_cliques(cur: Sequence[int], cand: int) -> BulkClassification:
+    """Classify every spread that extends the ascending line ids ``cur`` by
+    lines of the 155-bit set ``cand``, pairwise disjoint from ``cur`` and
+    above its last id, in lexicographic order (the order of
+    `all_spread_line_ids`)."""
+    import numpy as np
+
+    rows = _clique_extend(tables().adjacency, list(cur), cand)
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int16)
+    return classify_all(flat.reshape(-1, 9))
 
 
 @functools.cache

@@ -45,8 +45,8 @@ from spreadcodes.gf2geom import (
     span,
     subspace_distance,
 )
-from spreadcodes.pg42 import tables
-from spreadcodes.spreads import classify
+from spreadcodes.pg42 import N_LINES, tables
+from spreadcodes.spreads import classify, classify_cliques
 
 
 def _verdict(cap, n: int, ok: bool, detail: str):
@@ -127,7 +127,17 @@ def test_criterion_3_exhaustive_spread_structure(bulk, capfd):
     )
 
 
-@pytest.mark.slow
+def test_type_split_by_double_counting():
+    # criterion 3's type split without the full enumeration: the GL(5,2)
+    # generators are transitive on lines (``_xx_context`` certifies it) and
+    # keep types, so each line lies on N_T(line 0) spreads of type T, and
+    # each spread holds 9 lines: 155 N_T(line 0) = 9 N_T
+    through0 = classify_cliques([0], tables().adjacency[0]).type_counts()
+    assert {tag: N_LINES * n for tag, n in through0.items()} == {
+        tag: 9 * n for tag, n in FROZEN_TYPE_COUNTS.items()
+    }
+
+
 def test_criterion_4_exhaustive_pattern_census(capfd):
     census = exhaustive_xx_census()
     ok = census.pair_count == FROZEN_PAIR_COUNT

@@ -135,6 +135,8 @@ class TestOptions:
             ["doubling", "S1", "S2", "--limit", "1"],
             ["doubling", "--search-db", "S1", "--format", "text"],
             ["doubling", "S1", "S2", "--filter", "E", "E"],
+            ["doubling", "S1", "S2", "--search-db", "S1"],
+            ["doubling", "S1", "--search-db", "S1"],
             ["census", "--db", "S1", "--limit", "1"],
         ],
     )

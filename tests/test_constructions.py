@@ -10,7 +10,6 @@ from spreadcodes import constructions
 from spreadcodes.constructions import (
     HKK_NINTH_PATTERNS,
     HKK_OTHER_PATTERNS,
-    HKKConfig,
     build_lifted_gabidulin,
     cps_build,
     cps_group,
@@ -258,32 +257,21 @@ class TestHKK:
             assert all(p in HKK_OTHER_PATTERNS for p in rep.other_patterns)
 
     def test_discard_path_counts_a_config_that_is_not_two_spreads(self, monkeypatch):
-        cfg = next(hkk_configs(mode="first"))
+        real = Spread.from_line_ids
+        calls = []
 
-        def first_line_twice(ids):
-            # the spread check raises SpreadError: line 9 meets line 1
-            return Spread.from_line_ids(ids[:8] + ids[:1])
+        def first_spread_broken(ids):
+            # the first spread check raises SpreadError: line 9 meets line 1
+            calls.append(ids)
+            return real(ids[:8] + ids[:1] if len(calls) == 1 else ids)
 
         monkeypatch.setattr(
-            constructions, "Spread", SimpleNamespace(from_line_ids=first_line_twice)
+            constructions, "Spread", SimpleNamespace(from_line_ids=first_spread_broken)
         )
         stats = {}
-        assert list(hkk_build(config=cfg, stats=stats)) == []
+        res = next(hkk_build(mode="first", stats=stats))
         assert stats == {"discarded": 1}
-
-    def test_explicit_config_validated(self, gab):
-        cfg = next(hkk_configs(mode="first"))
-        bad = HKKConfig(cfg.p, cfg.h, cfg.e_prime, cfg.e_prime)
-        with pytest.raises(ValueError):
-            next(hkk_build(config=bad))
-        # E through p but a Gabidulin codeword, or a line of E through p
-        # that is far from every codeword but no plane
-        near = next(c for c in gab.codewords if cfg.p in c)
-        q = next(v for v in cfg.e.points() if v != cfg.p)
-        for e in (near, Subspace((cfg.p, q), 6)):
-            bad = HKKConfig(cfg.p, cfg.h, e, cfg.e_prime)
-            with pytest.raises(ValueError, match="too close to the Gabidulin"):
-                next(hkk_build(config=bad))
+        assert res.config == list(itertools.islice(hkk_configs(mode="first"), 2))[1]
 
 
 class TestCPSGroup:

@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spreadcodes import cli, doubling
+from spreadcodes import cli, doubling, spreads
 from spreadcodes.constructions import cps_build, hkk_build
 from spreadcodes.doubling import (
     ALLOWED_PATTERNS,
@@ -26,6 +30,7 @@ from spreadcodes.spreads import (
     Spread,
     SpreadAnomaly,
     classify,
+    classify_cliques,
     dual_spread,
     holes,
 )
@@ -277,9 +282,8 @@ class TestCensusStreaming:
 class TestGL52Generators:
     def test_each_is_a_disjointness_preserving_line_bijection(self):
         lines = tables().lines
-        for g in doubling._GENERATORS:
-            perm = doubling._line_permutation(g)
-            assert sorted(perm.tolist()) == list(range(155))
+        for perm in doubling._line_permutations():
+            assert sorted(perm) == list(range(155))
             for i, j in itertools.combinations(range(155), 2):
                 a, b = lines[perm[i]], lines[perm[j]]
                 assert ((a.mask & b.mask) == 1) == (
@@ -287,15 +291,13 @@ class TestGL52Generators:
                 )
 
     def test_each_maps_reference_spreads_to_type_x(self, reference_pairs):
-        for g in doubling._GENERATORS:
-            perm = doubling._line_permutation(g)
+        for perm in doubling._line_permutations():
             for pair in reference_pairs:
                 for s in pair:
-                    image = Spread.from_line_ids(perm[list(s.line_ids)])
+                    image = Spread.from_line_ids([perm[i] for i in s.line_ids])
                     assert classify(image).tag == "X"
 
 
-@pytest.mark.slow
 class TestExhaustiveCensus:
     def test_limited_run_is_clean(self):
         census = exhaustive_xx_census(limit=2)
@@ -304,6 +306,49 @@ class TestExhaustiveCensus:
         assert census.violations == []
         assert census.plane_count == 9 * census.pair_count
 
+    @pytest.mark.slow
+    def test_x_rows_of_the_enumeration_are_the_orbit_of_the_representative(
+        self, bulk
+    ):
+        # oracle for the certificates of ``_xx_context`` and for the
+        # partner lookup by restricted cliques: the type-X rows of the full
+        # enumeration, and their partners by a mask over those rows
+        s1, n_x = doubling._xx_context()
+        x_rows = bulk.line_ids[bulk.types == 0]
+        assert len(x_rows) == n_x
+        assert Spread.from_line_ids(x_rows[0]) == s1
+        perms = doubling._line_permutations()
+        orbit = doubling._orbit(
+            s1.key, lambda k: (tuple(sorted(p[i] for i in k)) for p in perms)
+        )
+        assert set(map(tuple, x_rows.tolist())) == orbit
+        bits = s1.perp_bits
+        forbidden = np.array([bits >> j & 1 for j in range(155)], dtype=bool)
+        want = x_rows[~forbidden[x_rows].any(axis=1)]
+        got = classify_cliques([], (1 << 155) - 1 & ~bits)
+        assert np.array_equal(got.line_ids[got.types == 0], want)
+
+    def test_doubling_never_mentions_numpy(self):
+        assert "numpy" not in Path(doubling.__file__).read_text(encoding="utf-8")
+
+    @pytest.mark.slow
+    def test_full_census_never_enumerates_every_spread(self):
+        # in a fresh interpreter: this one may hold the enumeration already
+        script = (
+            "from spreadcodes import doubling, spreads\n"
+            "doubling.exhaustive_xx_census()\n"
+            "print(spreads.all_spread_line_ids.cache_info().currsize)\n"
+        )
+        src = os.path.dirname(os.path.dirname(doubling.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=600,
+        )
+        assert proc.stdout == "0\n"
+
+    @pytest.mark.slow
     def test_sampled_s1_have_the_representative_histogram(self, bulk):
         # oracle for the orbit argument and the perp partner lookup: the
         # partners of two sampled S1 found by containment in the dual
@@ -321,19 +366,28 @@ class TestExhaustiveCensus:
             assert got.pair_count == len(partners) > 0
             assert got.histogram == want
 
+    @pytest.mark.slow
     def test_certificate_rejects_rows_that_are_not_one_orbit(
-        self, bulk, monkeypatch, capsys
+        self, monkeypatch, capsys
     ):
-        # the X rows minus one: some generator image is missing; the X and
-        # E rows together: closed under the generators, but two orbits
-        x = np.flatnonzero(bulk.types == 0)
-        one_short = bulk.types.copy()
-        one_short[x[12345]] = 1
-        with_e = bulk.types.copy()
-        with_e[with_e == 1] = 0
-        for types, match in ((one_short, "outside"), (with_e, "orbit")):
-            fake = bulk._replace(types=types)
-            monkeypatch.setattr(doubling, "classify_all", lambda: fake)
+        # one type-X spread through line 0 typed E: 155 times the count
+        # through line 0 is no multiple of 9; the E spreads typed X: the
+        # count is that of X and E together, which are two orbits
+        real = spreads.classify_all
+
+        def one_x_as_e(arr):
+            bulk = real(arr)
+            types = bulk.types.copy()
+            types[np.flatnonzero(types == 0)[:1]] = 1
+            return bulk._replace(types=types)
+
+        def e_as_x(arr):
+            bulk = real(arr)
+            return bulk._replace(types=np.where(bulk.types == 1, 0, bulk.types))
+
+        for fake, match in ((one_x_as_e, "not a multiple of 9"), (e_as_x, "orbit")):
+            monkeypatch.setattr(spreads, "classify_all", fake)
+            doubling._xx_context.cache_clear()
             with pytest.raises(SpreadAnomaly, match=match):
                 exhaustive_xx_census(limit=1)
             assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
