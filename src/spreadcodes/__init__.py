@@ -30,7 +30,6 @@ from .spreads import (  # noqa: F401
     reguli,
     holes,
     is_regulus,
-    opposite_regulus,
     dual_spread,
 )
 from .doubling import (  # noqa: F401

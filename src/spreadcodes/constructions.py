@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .doubling import DoublingCode, intersection_pattern, validate_doubling
 from .gf2geom import (
@@ -44,7 +44,6 @@ from .spreads import (
 __all__ = [
     "LiftedGabidulinCode",
     "build_lifted_gabidulin",
-    "shorten",
     "HKKConfig",
     "hkk_configs",
     "hkk_build",
@@ -150,22 +149,6 @@ def _shorten_mask(xm: int, p: int, hm: int, coord: dict) -> Optional[int]:
     for v in _bits(xm & hm):
         out |= 1 << coord[v]
     return out
-
-
-def shorten(code: Sequence[Subspace], p: int, h: Subspace) -> list:
-    """Point-hyperplane shortening, re-coordinatized into ambient 5.
-
-    Keeps codewords inside ``h`` whole and replaces codewords through
-    ``p`` by their intersection with ``h``; anything else is dropped.
-    Coordinates of the result are taken w.r.t. the RREF basis of ``h``.
-    """
-    if h.dim != h.n - 1:
-        raise ValueError("shortening needs a hyperplane")
-    if p in h:
-        raise ValueError("shortening point must lie outside the hyperplane")
-    coord = _h_coordinates(h)
-    images = (_shorten_mask(x.mask, p, h.mask, coord) for x in code)
-    return [Subspace(_bits(m & ~1), h.n - 1) for m in images if m is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +375,19 @@ def cps_group() -> list:
 
 
 class CPSOrbits(NamedTuple):
-    line_orbits: tuple  # tuples of Subspace
+    """Orbits as tuples of ids of ``tables()``: a line by its line id, a
+    plane by the line id of its dual line."""
+
+    line_orbits: tuple
     plane_orbits: tuple
     good_line_orbits: tuple  # indices into line_orbits
     good_plane_orbits: tuple
 
 
-def _by_basis(subspaces, ids) -> list:
+def _by_basis(subspaces, ids) -> tuple:
     """The ids in canonical-basis order of ``subspaces[id]``, the order of
     ``enumerate_subspaces``."""
-    return sorted(ids, key=lambda i: subspaces[i].basis)
+    return tuple(sorted(ids, key=lambda i: subspaces[i].basis))
 
 
 @functools.cache
@@ -426,7 +412,7 @@ def cps_orbits() -> CPSOrbits:
             seen.update(orb)
             out.append(orb)
         good = tuple(k for k, o in enumerate(out) if len(o) == 6 and _disjoint(o))
-        return tuple(tuple(subspaces[i] for i in o) for o in out), good
+        return tuple(out), good
 
     lorbs, good_l = orbits_of(t.lines)
     porbs, good_p = orbits_of(t.planes)
@@ -492,12 +478,12 @@ def cps_build(
     t = tables()
     plane_orbits = []
     for i in orbits.good_plane_orbits:
-        p1 = tuple(t.plane_id[p.mask] for p in orbits.plane_orbits[i])
+        p1 = orbits.plane_orbits[i]
         adj_and = functools.reduce(int.__and__, (t.adjacency[j] for j in p1))
         plane_orbits.append((p1, adj_and))
     emitted = 0
     for li in orbits.good_line_orbits:
-        l1 = tuple(t.line_id[l.mask] for l in orbits.line_orbits[li])
+        l1 = orbits.line_orbits[li]
         for r2 in _completing_reguli(l1):
             r1 = _opposite_regulus_ids(r2)
             if variant == "swap_reguli":

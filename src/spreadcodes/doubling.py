@@ -40,7 +40,6 @@ __all__ = [
     "PatternCensus",
     "validate_doubling",
     "min_distance",
-    "hole_count",
     "intersection_pattern",
     "pattern_census",
     "optimal_pairs",
@@ -104,16 +103,6 @@ class DoublingCode:
     def codewords(self) -> tuple:
         return self.s1.lines + self.planes
 
-    def verdict(self) -> Verdict:
-        return validate_doubling(self.s1, self.s2)
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.verdict().optimal
-
-    def min_distance(self) -> int:
-        return min_distance(self)
-
     def __repr__(self):
         return f"DoublingCode({self.s1.id}, {self.s2.id})"
 
@@ -160,26 +149,10 @@ def min_distance(code: DoublingCode) -> int:
     )
 
 
-def _pattern_parts(plane: Subspace, s1: Spread, stype=None):
-    if stype is None:
-        stype = classify(s1)
-    if stype.tag != "X":
-        raise ValueError("intersection patterns are defined for type-X spreads")
-    pm = plane.mask
-    common = s1.lines[stype.distinguished]
-    meets = (pm & common.mask) > 1
-    hole_ct = (pm & s1.hole_mask).bit_count()
-    raw = tuple(
-        sum(1 for i in t if (pm & s1.lines[i].mask) > 1) for t in stype.reguli
-    )
-    return raw, meets, hole_ct
-
-
 class IntersectionPattern(NamedTuple):
     """Per-regulus meet counts of a plane against a type-X spread."""
 
     counts: tuple  # descending 4-tuple
-    raw: tuple  # in the spread's regulus order, for debugging
     meets_common: bool
     hole_count: int
 
@@ -188,24 +161,20 @@ def intersection_pattern(
     plane: Subspace, s1: Spread, stype=None
 ) -> IntersectionPattern:
     """Pattern of a codeword plane against the reguli of a type-X spread."""
-    raw, meets, hole_ct = _pattern_parts(plane, s1, stype)
-    return IntersectionPattern(
-        tuple(sorted(raw, reverse=True)), raw, meets, hole_ct
+    if stype is None:
+        stype = classify(s1)
+    if stype.tag != "X":
+        raise ValueError("intersection patterns are defined for type-X spreads")
+    pm = plane.mask
+    counts = sorted(
+        (sum(1 for i in t if (pm & s1.lines[i].mask) > 1) for t in stype.reguli),
+        reverse=True,
     )
-
-
-def hole_count(plane: Subspace, s1: Spread, stype=None) -> Tuple[bool, int]:
-    """(meets_common, holes_in_plane), constrained to the three legal cases.
-
-    For a codeword plane of a valid optimal partner the combination must be
-    (False, 1), (True, 0) or (True, 2); anything else raises SpreadAnomaly.
-    """
-    _, meets, hole_ct = _pattern_parts(plane, s1, stype)
-    if (meets, hole_ct) not in ((False, 1), (True, 0), (True, 2)):
-        raise SpreadAnomaly(
-            f"hole trichotomy violated: meets_common={meets}, holes={hole_ct}"
-        )
-    return meets, hole_ct
+    return IntersectionPattern(
+        tuple(counts),
+        (pm & s1.lines[stype.distinguished].mask) > 1,
+        (pm & s1.hole_mask).bit_count(),
+    )
 
 
 class PatternCensus:
@@ -236,13 +205,6 @@ class PatternCensus:
         out = {}
         for (counts, _m, _h, _n), c in self.histogram.items():
             out[counts] = out.get(counts, 0) + c
-        return out
-
-    def ninth_by_pattern(self) -> dict:
-        out = {}
-        for (counts, _m, _h, ninth), c in self.histogram.items():
-            if ninth:
-                out[counts] = out.get(counts, 0) + c
         return out
 
     @property
@@ -364,7 +326,7 @@ def _xx_context() -> Tuple[Spread, int]:
         raise SpreadAnomaly(
             f"the GL(5,2) generators carry line 0 onto {lines} of {N_LINES} lines"
         )
-    through0 = classify_cliques([0], tables().adjacency[0])
+    through0 = classify_cliques((0,), tables().adjacency[0])
     x_rows = through0.line_ids[through0.types == 0]
     if N_LINES * len(x_rows) % 9:
         raise SpreadAnomaly(
@@ -413,7 +375,7 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
         # a line of S1 lies in the dual plane of line j iff line j lies in
         # the dual plane of that line (orthogonality is symmetric), so the
         # partners are the type-X spreads of lines outside ``s1.perp_bits``
-        bulk = classify_cliques([], (1 << N_LINES) - 1 & ~s1.perp_bits)
+        bulk = classify_cliques((), (1 << N_LINES) - 1 & ~s1.perp_bits)
         partners = bulk.line_ids[bulk.types == 0]
         one = pattern_census((s1, Spread.from_line_ids(r)) for r in partners)
         census.histogram = {key: c * n for key, c in one.histogram.items()}

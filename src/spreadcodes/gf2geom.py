@@ -30,7 +30,6 @@ __all__ = [
     "rref_bases",
     "parse_point",
     "format_point",
-    "point_from_bitstring",
     "point_to_bitstring",
     "rref",
     "rank",
@@ -286,7 +285,9 @@ def parse_point(token: str, n: int = 5) -> int:
     """Parse a compact point token such as ``25`` or ``3u``.
 
     The token is a nonempty string over {1..n, u} with no repeated symbol;
-    its value is the mod-2 sum of the named generators.
+    its value is the mod-2 sum of the named generators, which must not be
+    the zero vector (``12345u`` sums to it), so that it is the inverse of
+    ``format_point``.
     """
     if not token:
         raise ValueError("empty point token")
@@ -300,6 +301,8 @@ def parse_point(token: str, n: int = 5) -> int:
             v ^= 1 << (int(ch) - 1)
         else:
             raise ValueError(f"unknown symbol {ch!r} in point token {token!r}")
+    if not v:
+        raise ValueError(f"point token {token!r} is the zero vector")
     return v
 
 
@@ -332,13 +335,3 @@ def format_point(v: int, n: int = 5) -> str:
 def point_to_bitstring(v: int, n: int = 5) -> str:
     """Bitstring with coordinate 1 leftmost, e.g. 18 -> '01001' for n=5."""
     return "".join("1" if v >> i & 1 else "0" for i in range(n))
-
-
-def point_from_bitstring(s: str) -> int:
-    v = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            v |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"bad bitstring {s!r}")
-    return v

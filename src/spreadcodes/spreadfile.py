@@ -1,4 +1,4 @@
-"""Reading and writing spread files in compact point notation.
+"""Reading spread files in compact point notation.
 
 Grammar: a file is a sequence of blocks separated by one or more blank
 lines; ``#`` starts a comment running to end of line.  Each block holds
@@ -13,12 +13,11 @@ from __future__ import annotations
 import re
 from typing import List
 
-from .gf2geom import format_point, parse_point, rank
+from .gf2geom import parse_point, rank
 from .pg42 import tables
 from .spreads import Spread, SpreadError
 
-__all__ = ["ParseError", "parse_spread_text", "load_spread_file",
-           "format_spread", "format_spreads"]
+__all__ = ["ParseError", "parse_spread_text", "load_spread_file"]
 
 _GROUP = re.compile(r"\{([^{}]*)\}")
 
@@ -120,15 +119,3 @@ def load_spread_file(path) -> List[Spread]:
         line = len((data[: exc.start].decode("ascii") + "x").splitlines())
         raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}", line) from None
     return parse_spread_text(text)
-
-
-def format_spread(s: Spread) -> str:
-    """One spread as a single text line; points of each line ascending."""
-    parts = []
-    for l in s.lines:
-        parts.append("{" + ",".join(format_point(v) for v in l.points()) + "}")
-    return ",".join(parts)
-
-
-def format_spreads(spreads) -> str:
-    return "\n\n".join(format_spread(s) for s in spreads) + "\n"

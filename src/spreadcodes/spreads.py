@@ -41,7 +41,6 @@ __all__ = [
     "reguli",
     "classify",
     "holes",
-    "opposite_regulus",
     "dual_spread",
     "verify_regulus_free_extension",
     "all_spread_line_ids",
@@ -230,10 +229,6 @@ class SpreadType(NamedTuple):
     reguli: tuple
     counts: tuple  # per-line regulus-membership counts
 
-    @property
-    def common_index(self) -> Optional[int]:
-        return self.distinguished if self.tag == "X" else None
-
 
 def classify(s: Spread) -> SpreadType:
     """Type a spread by its per-line regulus-membership counts, once per
@@ -266,16 +261,6 @@ def _classify(s: Spread) -> SpreadType:
     raise SpreadAnomaly(f"regulus-membership counts {multiset} match no type")
 
 
-def opposite_regulus(lines3: Sequence[Subspace]) -> tuple:
-    """The 3 transversals of a regulus (lines meeting all three of it),
-    ascending in line id."""
-    l1, l2, l3 = lines3
-    if not is_regulus(l1, l2, l3):
-        raise ValueError("not a regulus")
-    lines = tables().lines
-    return tuple(lines[i] for i in _opposite_regulus_ids(_line_ids(lines3)))
-
-
 def _opposite_regulus_ids(ids) -> tuple:
     """Ids of the transversals of the regulus with line ids ``ids``.
 
@@ -296,17 +281,6 @@ def dual_spread(s: Spread) -> tuple:
     """Dual planes of the spread's lines (same order), from ``tables().planes``."""
     planes = tables().planes
     return tuple(planes[i] for i in s.line_ids)
-
-
-def spread_from_planes(planes: Sequence[Subspace]) -> Spread:
-    """The spread whose lines are the duals of the given 9 planes, looked up
-    by point mask in ``tables().plane_id``; SpreadError if one is not a
-    plane of PG(4,2)."""
-    plane_id = tables().plane_id
-    for p in planes:
-        if p.n != 5 or p.mask not in plane_id:
-            raise SpreadError(f"not a plane of PG(4,2): {p!r}")
-    return Spread.from_line_ids([plane_id[p.mask] for p in planes])
 
 
 def _clique_extend(adj, cur, cand):
@@ -369,6 +343,16 @@ def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -
 # ---------------------------------------------------------------------------
 # bulk pipeline over the exhaustive enumeration
 
+def _clique_rows(cur: tuple, cand: int) -> np.ndarray:
+    """The 9-cliques extending ``cur`` (`_clique_extend`) as an (M, 9) int16
+    array, lexicographic, read without a list of row tuples."""
+    import numpy as np
+
+    rows = _clique_extend(tables().adjacency, list(cur), cand)
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int16)
+    return flat.reshape(-1, 9)
+
+
 @functools.cache
 def all_spread_line_ids() -> np.ndarray:
     """Line-ID array of every size-9 spread, shape (M, 9), lexicographic.
@@ -376,11 +360,7 @@ def all_spread_line_ids() -> np.ndarray:
     Cached in memory after the first call (the enumeration takes about a
     minute).
     """
-    import numpy as np
-
-    adj = tables().adjacency
-    rows = list(_clique_extend(adj, [], (1 << N_LINES) - 1))
-    return np.array(rows, dtype=np.int16)
+    return _clique_rows((), (1 << N_LINES) - 1)
 
 
 class BulkClassification(NamedTuple):
@@ -437,16 +417,14 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     return BulkClassification(arr, n_reguli, counts, types, common_pos)
 
 
-def classify_cliques(cur: Sequence[int], cand: int) -> BulkClassification:
+@functools.cache
+def classify_cliques(cur: tuple, cand: int) -> BulkClassification:
     """Classify every spread that extends the ascending line ids ``cur`` by
     lines of the 155-bit set ``cand``, pairwise disjoint from ``cur`` and
     above its last id, in lexicographic order (the order of
-    `all_spread_line_ids`)."""
-    import numpy as np
-
-    rows = _clique_extend(tables().adjacency, list(cur), cand)
-    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int16)
-    return classify_all(flat.reshape(-1, 9))
+    `all_spread_line_ids`).  Cached per (``cur``, ``cand``): callers share
+    the arrays and must not write to them."""
+    return classify_all(_clique_rows(cur, cand))
 
 
 @functools.cache

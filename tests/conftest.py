@@ -5,7 +5,7 @@ import pytest
 
 from spreadcodes import corpus
 from spreadcodes.constructions import cps_orbits
-from spreadcodes.gf2geom import dual, enumerate_subspaces
+from spreadcodes.gf2geom import dual, enumerate_subspaces, format_point
 from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import Spread, classify, is_regulus
 
@@ -14,6 +14,19 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: exhaustive enumerations taking minutes"
     )
+
+
+def format_spread(s: Spread) -> str:
+    """One spread as a single line of a spread file; points of each line
+    ascending."""
+    return ",".join(
+        "{" + ",".join(format_point(v) for v in l.points()) + "}" for l in s.lines
+    )
+
+
+def format_spreads(spreads) -> str:
+    """The text of a spread file holding ``spreads``, one block each."""
+    return "\n\n".join(format_spread(s) for s in spreads) + "\n"
 
 
 @pytest.fixture(scope="session")
@@ -79,11 +92,15 @@ def cps_good_orbits():
     """Good line orbits of the CPS group (side ``"line"``) and the duals of
     its good plane orbits (side ``"plane"``), 6 disjoint lines each."""
     orbits = cps_orbits()
+    t = tables()
     return {
-        "line": [orbits.line_orbits[i] for i in orbits.good_line_orbits],
+        "line": [
+            tuple(t.lines[i] for i in orbits.line_orbits[k])
+            for k in orbits.good_line_orbits
+        ],
         "plane": [
-            tuple(dual(p) for p in orbits.plane_orbits[i])
-            for i in orbits.good_plane_orbits
+            tuple(dual(t.planes[i]) for i in orbits.plane_orbits[k])
+            for k in orbits.good_plane_orbits
         ],
     }
 

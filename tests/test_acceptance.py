@@ -132,7 +132,7 @@ def test_type_split_by_double_counting():
     # generators are transitive on lines (``_xx_context`` certifies it) and
     # keep types, so each line lies on N_T(line 0) spreads of type T, and
     # each spread holds 9 lines: 155 N_T(line 0) = 9 N_T
-    through0 = classify_cliques([0], tables().adjacency[0]).type_counts()
+    through0 = classify_cliques((0,), tables().adjacency[0]).type_counts()
     assert {tag: N_LINES * n for tag, n in through0.items()} == {
         tag: 9 * n for tag, n in FROZEN_TYPE_COUNTS.items()
     }

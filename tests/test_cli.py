@@ -11,8 +11,9 @@ import spreadcodes
 from spreadcodes import cli, corpus
 from spreadcodes.constructions import cps_build, hkk_build
 from spreadcodes.doubling import validate_doubling
-from spreadcodes.spreadfile import format_spreads
 from spreadcodes.spreads import classify, reguli
+
+from conftest import format_spreads
 
 
 @pytest.fixture()

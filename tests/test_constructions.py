@@ -18,7 +18,6 @@ from spreadcodes.constructions import (
     hkk_build,
     hkk_configs,
     hkk_pattern_check,
-    shorten,
 )
 from spreadcodes.doubling import min_distance, validate_doubling
 from spreadcodes.gf2geom import (
@@ -30,15 +29,7 @@ from spreadcodes.gf2geom import (
     subspace_distance,
 )
 from spreadcodes.pg42 import tables
-from spreadcodes.spreads import (
-    Spread,
-    SpreadError,
-    _disjoint,
-    classify,
-    dual_spread,
-    is_regulus,
-    spread_from_planes,
-)
+from spreadcodes.spreads import Spread, _disjoint, classify, dual_spread, is_regulus
 
 
 @pytest.fixture(scope="module")
@@ -88,18 +79,22 @@ class TestShorten:
     def test_kept_codeword_stays_whole(self, gab):
         h = Subspace((1, 2, 4, 8, 16), 6)
         p = 32
+        coord = constructions._h_coordinates(h)
         kept = Subspace((1, 2, 4), 6)
         cut = Subspace((32, 2, 4), 6)
         dropped = Subspace((33, 2, 4), 6)  # off p, not inside h
-        out = shorten([kept, cut, dropped], p, h)
-        assert len(out) == 2
-        assert out[0].dim == 3 and out[0].n == 5
-        assert out[1].dim == 2  # plane through p becomes a line
+        # h is the first five coordinates, so its coordinates are the vectors
+        assert constructions._shorten_mask(kept.mask, p, h.mask, coord) == kept.mask
+        # plane through p becomes a line
+        assert constructions._shorten_mask(cut.mask, p, h.mask, coord) == (
+            Subspace((2, 4), 5).mask
+        )
+        assert constructions._shorten_mask(dropped.mask, p, h.mask, coord) is None
 
     def test_matches_subspace_oracle(self, gab):
-        """``shorten`` and ``hkk_build`` against shortening by ``Subspace``
-        operations, with coordinates read off the pivots of H's RREF basis
-        (each pivot occurs in one basis row only)."""
+        """``_shorten_mask`` and ``hkk_build`` against shortening by
+        ``Subspace`` operations, with coordinates read off the pivots of H's
+        RREF basis (each pivot occurs in one basis row only)."""
         for res in hkk_build(limit=20):
             cfg = res.config
             pivots = [b & -b for b in cfg.h.basis]
@@ -117,20 +112,17 @@ class TestShorten:
                 for x in code
                 if x <= cfg.h or cfg.p in x
             ]
-            assert shorten(code, cfg.p, cfg.h) == want
+            coord = constructions._h_coordinates(cfg.h)
+            masks = (
+                constructions._shorten_mask(x.mask, cfg.p, cfg.h.mask, coord)
+                for x in code
+            )
+            assert [m for m in masks if m is not None] == [x.mask for x in want]
             lines = [x for x in want[:-2] if x.dim == 2] + [want[-2]]
             planes = [x for x in want[:-2] if x.dim == 3] + [want[-1]]
             assert list(res.code.s1.lines) == lines
             assert list(dual_spread(res.code.s2)) == planes
             assert res.l2_image == image(meet(gab.special_plane, cfg.h))
-
-    def test_input_validation(self, gab):
-        plane = Subspace((1, 2, 4), 6)
-        with pytest.raises(ValueError):
-            shorten([], 32, plane)  # not a hyperplane
-        h = Subspace((1, 2, 4, 8, 16), 6)
-        with pytest.raises(ValueError):
-            shorten([], 3, h)  # point inside the hyperplane
 
 
 class TestHKK:
@@ -230,7 +222,7 @@ class TestHKK:
 
     def test_build_first_result(self):
         res = next(hkk_build(mode="first", limit=1))
-        assert res.code.is_optimal
+        assert validate_doubling(res.code.s1, res.code.s2).optimal
         assert min_distance(res.code) == 3
         assert res.l2_image.basis == (8, 16)
         rep = hkk_pattern_check(res)
@@ -296,18 +288,21 @@ class TestCPSGroup:
         assert sizes == Counter({6: 22, 3: 6, 2: 2, 1: 1})
         sizes = Counter(len(o) for o in orbits.plane_orbits)
         assert sizes == Counter({6: 22, 3: 6, 2: 2, 1: 1})
-        assert sum(len(o) for o in orbits.line_orbits) == 155
+        # the orbits partition the 155 ids of each side
+        for orbs in (orbits.line_orbits, orbits.plane_orbits):
+            assert sorted(i for o in orbs for i in o) == list(range(155))
         assert len(orbits.good_line_orbits) == 4
         assert len(orbits.good_plane_orbits) == 4
 
     def test_good_orbits_are_good(self, orbits):
+        t = tables()
         for i in orbits.good_line_orbits:
-            o = orbits.line_orbits[i]
+            o = [t.lines[j] for j in orbits.line_orbits[i]]
             assert len(o) == 6
             for a, b in itertools.combinations(o, 2):
                 assert (a.mask & b.mask) == 1
         for i in orbits.good_plane_orbits:
-            o = orbits.plane_orbits[i]
+            o = [t.planes[j] for j in orbits.plane_orbits[i]]
             for a, b in itertools.combinations(o, 2):
                 assert (a.mask & b.mask).bit_count() == 2
 
@@ -326,7 +321,7 @@ class TestCPSBuild:
         )
         assert tally == Counter({("X", "E", True): 4, ("E", "X", True): 4})
         for code, cfg in out:
-            assert code.is_optimal
+            assert validate_doubling(code.s1, code.s2).optimal
             assert min_distance(code) == 3
             assert cfg.point_n == 1
             assert cfg.variant == "basic"
@@ -345,7 +340,7 @@ class TestCPSBuild:
         out = list(cps_build("replace_plane"))
         assert len(out) == 36
         for code, cfg in out:
-            assert code.is_optimal
+            assert validate_doubling(code.s1, code.s2).optimal
             assert classify(code.s1).tag == "E"
             assert classify(code.s2).tag == "X"
             assert not cps_regulus_check(code)
@@ -363,10 +358,7 @@ class TestCPSBuild:
         plane orbit then a plane set) it builds a dual spread from."""
         t = tables()
         orbits = cps_orbits()
-        p1s = {
-            tuple(t.plane_id[p.mask] for p in orbits.plane_orbits[i])
-            for i in orbits.good_plane_orbits
-        }
+        p1s = {orbits.plane_orbits[i] for i in orbits.good_plane_orbits}
         calls, built = [], set()
 
         def disjoint(ids):
@@ -392,18 +384,20 @@ class TestCPSBuild:
         assert all(len(ids) == 3 for ids in visited.calls)
         assert len(visited.calls) == 176 + 176 + 1728
 
-    def test_disjoint_precheck_matches_spread_from_planes(self, visited):
+    def test_disjoint_precheck_matches_plane_mask_oracle(self, visited):
         """The pre-check accepts exactly the (good plane orbit, plane set)
-        pairs whose 9 planes have a dual spread."""
+        pairs whose 9 planes have a dual spread: whose point masks pairwise
+        meet in exactly a point, the zero vector and one more."""
         planes_of = tables().planes
         seen = Counter()
         for p1 in visited.p1s:
             for pset in set(visited.calls):
-                try:
-                    spread_from_planes([planes_of[i] for i in p1 + pset])
-                    ok = True
-                except SpreadError:
-                    ok = False
+                ok = all(
+                    (a.mask & b.mask).bit_count() == 2
+                    for a, b in itertools.combinations(
+                        [planes_of[i] for i in p1 + pset], 2
+                    )
+                )
                 assert ((p1, pset) in visited.built) == ok, (p1, pset)
                 seen[ok] += 1
         assert seen == Counter({False: 2244, True: 20})

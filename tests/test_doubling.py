@@ -17,7 +17,6 @@ from spreadcodes.doubling import (
     PATTERN_HOLES,
     DoublingCode,
     exhaustive_xx_census,
-    hole_count,
     intersection_pattern,
     min_distance,
     optimal_pairs,
@@ -66,9 +65,9 @@ class TestValidation:
     def test_reference_pairs_optimal(self, reference_pairs):
         for s1, s2 in reference_pairs:
             code = DoublingCode(s1, s2)
-            assert code.is_optimal
+            assert validate_doubling(s1, s2).optimal
             assert len(code.codewords) == 18
-            assert code.min_distance() == 3
+            assert min_distance(code) == 3
 
     def test_witness_on_violation(self, reference_pairs):
         # a spread paired with itself is never far from its own dual planes
@@ -170,10 +169,11 @@ class TestPatterns:
         for (s1, s2), want in zip(reference_pairs, expected):
             st1, st2 = classify(s1), classify(s2)
             ninth = dual_spread(s2)[st2.distinguished]
-            assert hole_count(ninth, s1, st1) == want
+            pat = intersection_pattern(ninth, s1, st1)
+            assert (pat.meets_common, pat.hole_count) == want
 
     def test_hole_count_matches_holes_oracle(self, reference_pairs, sample_spreads):
-        """``_pattern_parts`` counts a plane's holes by one AND with the
+        """``intersection_pattern`` counts a plane's holes by one AND with the
         spread's cover; ``holes()`` lists them.  Every codeword plane of the
         corpus pairs, and every plane of PG(4,2) against seeded X spreads."""
         cases = [(s1, dual_spread(s2)) for s1, s2 in reference_pairs]
@@ -185,7 +185,7 @@ class TestPatterns:
             hs = holes(s1)
             for plane in planes:
                 want = sum(1 for h in hs if h in plane)
-                assert doubling._pattern_parts(plane, s1, st)[2] == want
+                assert intersection_pattern(plane, s1, st).hole_count == want
 
     def test_raw_counts_account_for_all_plane_points(self, reference_pairs):
         # each plane has 7 points: regulus-line hits + common-line hits +
@@ -205,40 +205,40 @@ class TestPatterns:
                 if i != st.distinguished
             )
             assert reg_pts + on_common + in_holes == 7
-            # raw counts one hit per regulus line, and the common line sits
-            # on all four reguli
-            assert sum(pat.raw) == reg_pts + 4 * pat.meets_common
+            # the counts hold one hit per regulus line, and the common line
+            # sits on all four reguli
+            assert sum(pat.counts) == reg_pts + 4 * pat.meets_common
 
     def test_pattern_requires_type_x(self, reference_pairs):
         s1, _ = reference_pairs[0]
         st = classify(s1)
-        from spreadcodes.spreads import Spread, opposite_regulus
-
         t = st.reguli[0]
-        opp = opposite_regulus([s1.lines[i] for i in t])
-        s_e = Spread([s1.lines[i] for i in range(9) if i not in t] + list(opp))
+        opp = spreads._opposite_regulus_ids([s1.line_ids[i] for i in t])
+        s_e = Spread.from_line_ids(
+            [s1.line_ids[i] for i in range(9) if i not in t] + list(opp)
+        )
+        assert classify(s_e).tag == "E"
         with pytest.raises(ValueError):
             intersection_pattern(dual_spread(s1)[0], s_e)
 
     def test_hole_count_rejects_illegal_combo(self, reference_pairs):
-        # scanning every plane of PG(4,2): most show a legal
-        # (meets_common, holes) combination, but at least one does not and
-        # must raise instead of returning a wrong answer
-        from spreadcodes.pg42 import tables
-
+        # scanning every plane of PG(4,2): at least one shows a
+        # (meets_common, holes) combination outside the trichotomy that
+        # ``PATTERN_HOLES`` states for codeword planes, and ``check`` flags
+        # a census entry of it
         s1, _ = reference_pairs[0]
         st = classify(s1)
-        legal, illegal = 0, 0
+        legal = {(False, 1), (True, 0), (True, 2)}
+        assert set(PATTERN_HOLES.values()) <= legal
+        illegal = []
         for plane in tables().planes:
-            try:
-                meets, nholes = hole_count(plane, s1, st)
-            except SpreadAnomaly:
-                illegal += 1
-            else:
-                legal += 1
-                assert (meets, nholes) in ((False, 1), (True, 0), (True, 2))
-        assert legal + illegal == 155
-        assert illegal >= 1
+            pat = intersection_pattern(plane, s1, st)
+            if (pat.meets_common, pat.hole_count) not in legal:
+                illegal.append(pat)
+        assert len(illegal) >= 1
+        for pat in illegal:
+            key = (pat.counts, pat.meets_common, pat.hole_count, False)
+            assert doubling.PatternCensus({key: 1}).check() != []
 
 
 class TestCensusStreaming:
@@ -250,7 +250,8 @@ class TestCensusStreaming:
         assert census.check() == []
         assert census.eliminated_pattern_count == 0
         assert set(census.by_pattern()) <= set(ALLOWED_PATTERNS)
-        assert set(census.ninth_by_pattern()) == {
+        ninth = {counts for (counts, _m, _h, n) in census.histogram if n}
+        assert ninth == {
             (2, 2, 2, 0),
             (2, 2, 1, 1),
             (3, 3, 1, 1),
@@ -325,7 +326,7 @@ class TestExhaustiveCensus:
         bits = s1.perp_bits
         forbidden = np.array([bits >> j & 1 for j in range(155)], dtype=bool)
         want = x_rows[~forbidden[x_rows].any(axis=1)]
-        got = classify_cliques([], (1 << 155) - 1 & ~bits)
+        got = classify_cliques((), (1 << 155) - 1 & ~bits)
         assert np.array_equal(got.line_ids[got.types == 0], want)
 
     def test_doubling_never_mentions_numpy(self):
@@ -385,10 +386,21 @@ class TestExhaustiveCensus:
             bulk = real(arr)
             return bulk._replace(types=np.where(bulk.types == 1, 0, bulk.types))
 
-        for fake, match in ((one_x_as_e, "not a multiple of 9"), (e_as_x, "orbit")):
-            monkeypatch.setattr(spreads, "classify_all", fake)
+        def clear_caches():
+            # classify_cliques keeps the classification the context reads
             doubling._xx_context.cache_clear()
-            with pytest.raises(SpreadAnomaly, match=match):
-                exhaustive_xx_census(limit=1)
-            assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
-            assert "invariant violation" in capsys.readouterr().err
+            spreads.classify_cliques.cache_clear()
+
+        try:
+            for fake, match in (
+                (one_x_as_e, "not a multiple of 9"),
+                (e_as_x, "orbit"),
+            ):
+                monkeypatch.setattr(spreads, "classify_all", fake)
+                clear_caches()
+                with pytest.raises(SpreadAnomaly, match=match):
+                    exhaustive_xx_census(limit=1)
+                assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
+                assert "invariant violation" in capsys.readouterr().err
+        finally:
+            clear_caches()  # drop the faked classifications

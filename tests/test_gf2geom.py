@@ -14,7 +14,6 @@ from spreadcodes.gf2geom import (
     join,
     meet,
     parse_point,
-    point_from_bitstring,
     point_to_bitstring,
     rref,
     rref_bases,
@@ -46,9 +45,10 @@ def subspaces(draw, count=1, max_n=12):
 
 class TestPointNotation:
     def test_examples(self):
-        assert parse_point("25") == point_from_bitstring("01001")
-        assert parse_point("3u") == point_from_bitstring("11011")
-        assert parse_point("1") == point_from_bitstring("10000")
+        # the module docstring's example: 25 is 01001, the integer 18
+        assert parse_point("25") == 18
+        assert parse_point("3u") == 0b11011  # 11011 read right to left
+        assert parse_point("1") == 1
         assert parse_point("u") == 0b11111
 
     def test_errors(self):
@@ -60,6 +60,10 @@ class TestPointNotation:
             parse_point("9")
         with pytest.raises(ValueError):
             parse_point("x")
+        # tokens that sum to 0, which format_point has no token for either
+        for token, n in (("12345u", 5), ("u54321", 5), ("123456u", 6)):
+            with pytest.raises(ValueError, match=f"{token!r} is the zero vector"):
+                parse_point(token, n)
 
     def test_round_trip_all_points(self):
         for v in range(1, 32):
@@ -70,7 +74,7 @@ class TestPointNotation:
     def test_bitstring_convention(self):
         # coordinate 1 is the leftmost character
         assert point_to_bitstring(parse_point("25")) == "01001"
-        assert point_from_bitstring("10000") == 1
+        assert point_to_bitstring(1) == "10000"
 
 
 class TestRref:

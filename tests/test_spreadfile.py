@@ -4,13 +4,9 @@ from hypothesis import given, settings, strategies as st
 from spreadcodes import corpus, spreadfile
 from spreadcodes.gf2geom import Subspace, parse_point
 from spreadcodes.pg42 import tables
-from spreadcodes.spreadfile import (
-    ParseError,
-    format_spread,
-    format_spreads,
-    load_spread_file,
-    parse_spread_text,
-)
+from spreadcodes.spreadfile import ParseError, load_spread_file, parse_spread_text
+
+from conftest import format_spread, format_spreads
 
 
 def _line_from_tokens(tokens, lineno: int) -> Subspace:
@@ -146,6 +142,11 @@ class TestErrors:
     def test_repeated_point(self):
         err = self._err(GOOD.replace("{24,15,3u}", "{1,1,1}"))
         assert "points {1,1,1} span dimension 1, not a line" in str(err)
+
+    def test_zero_vector_token(self):
+        # 12345u sums to the zero vector: the error names the token, not the line
+        err = self._err(GOOD.replace("{24,15,3u}", "{12345u,1,2}"))
+        assert str(err) == "line 3: point token '12345u' is the zero vector"
 
     def test_not_the_three_points(self):
         # a repeated token spans a line but does not list its 3 points

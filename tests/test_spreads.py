@@ -19,20 +19,27 @@ from spreadcodes import spreads
 from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import (
     Spread,
+    SpreadAnomaly,
     SpreadError,
     _clique_extend,
     all_spread_line_ids,
     _disjoint,
+    _opposite_regulus_ids,
     classify,
     classify_all,
     dual_spread,
     holes,
     is_regulus,
-    opposite_regulus,
     reguli,
-    spread_from_planes,
     verify_regulus_free_extension,
 )
+
+
+def from_planes(planes) -> Spread:
+    """The spread whose lines are the duals of 9 planes of PG(4,2), read as
+    ``hkk_build`` reads its planes: a plane's id in ``tables().plane_id`` is
+    the line id of its dual line."""
+    return Spread.from_line_ids([tables().plane_id[p.mask] for p in planes])
 
 
 def _line(*toks):
@@ -231,25 +238,25 @@ class TestReguli:
 
     def test_opposite_regulus(self, reference_pairs):
         s1, _ = reference_pairs[0]
+        lines = tables().lines
         for t in reguli(s1):
-            reg = [s1.lines[i] for i in t]
-            opp = opposite_regulus(reg)
+            reg = [s1.line_ids[i] for i in t]
+            opp = _opposite_regulus_ids(reg)
             # transversals meet every original line in exactly one point
             for o in opp:
                 for r in reg:
-                    assert (o.mask & r.mask).bit_count() == 2
+                    assert (lines[o].mask & lines[r].mask).bit_count() == 2
             # involution with the same 9 covered points
-            back = opposite_regulus(opp)
-            assert {l.basis for l in back} == {l.basis for l in reg}
-            cover = {p for l in opp for p in l.points()}
-            assert cover == {p for l in reg for p in l.points()}
+            assert set(_opposite_regulus_ids(opp)) == set(reg)
+            cover = {p for i in opp for p in lines[i].points()}
+            assert cover == {p for i in reg for p in lines[i].points()}
             assert len(cover) == 9
 
     def test_opposite_regulus_rejects_non_regulus(self, reference_pairs):
         s1, _ = reference_pairs[0]
         i, j = [k for k in range(9) if k not in reguli(s1)[0]][:2]
-        with pytest.raises(ValueError):
-            opposite_regulus([s1.lines[i], s1.lines[j], s1.lines[0]])
+        with pytest.raises(SpreadAnomaly, match="transversals"):
+            _opposite_regulus_ids([s1.line_ids[i], s1.line_ids[j], s1.line_ids[0]])
 
 
 class TestClassify:
@@ -260,7 +267,6 @@ class TestClassify:
         s1, _ = reference_pairs[0]
         st = classify(s1)
         assert st.distinguished == 8  # the ninth listed line is common
-        assert st.common_index == 8
         assert sorted(st.counts, reverse=True) == [4] + [1] * 8
 
     def test_regulus_swap_x_to_e_and_back(self, reference_pairs):
@@ -270,12 +276,13 @@ class TestClassify:
         s1, _ = reference_pairs[0]
         st = classify(s1)
         t = st.reguli[0]
-        opp = opposite_regulus([s1.lines[i] for i in t])
-        rest = [s1.lines[i] for i in range(9) if i not in t]
-        st_e = classify(Spread(rest + list(opp)))
+        opp = _opposite_regulus_ids([s1.line_ids[i] for i in t])
+        rest = [s1.line_ids[i] for i in range(9) if i not in t]
+        st_e = classify(Spread.from_line_ids(rest + list(opp)))
         assert st_e.tag == "E"
         assert st_e.distinguished == (6, 7, 8)
-        assert classify(Spread(rest + [s1.lines[i] for i in t])).tag == "X"
+        back = Spread.from_line_ids(rest + [s1.line_ids[i] for i in t])
+        assert classify(back).tag == "X"
 
     def test_regulus_swap_preserves_idelta(self, sample_spreads):
         found = None
@@ -287,9 +294,9 @@ class TestClassify:
         assert found is not None
         s, st = found
         t = st.distinguished
-        opp = opposite_regulus([s.lines[i] for i in t])
-        rest = [s.lines[i] for i in range(9) if i not in t]
-        assert classify(Spread(rest + list(opp))).tag == "IDelta"
+        opp = _opposite_regulus_ids([s.line_ids[i] for i in t])
+        rest = [s.line_ids[i] for i in range(9) if i not in t]
+        assert classify(Spread.from_line_ids(rest + list(opp))).tag == "IDelta"
 
     def test_type_follows_each_objects_line_order(self, reference_pairs, sample_spreads):
         """Equal spreads whose lines are stored in other orders keep their
@@ -351,7 +358,7 @@ class TestDualSpread:
         assert all(p.dim == 3 for p in planes)
         for a, b in itertools.combinations(planes, 2):
             assert (a.mask & b.mask).bit_count() == 2
-        assert spread_from_planes(planes) == s1
+        assert from_planes(planes) == s1
 
     def test_table_lookup_matches_dual_oracle(self, reference_pairs, sample_spreads):
         spreads = [s for pair in reference_pairs for s in pair]
@@ -360,10 +367,10 @@ class TestDualSpread:
         for s in spreads:
             planes = tuple(dual(l) for l in s.lines)
             assert dual_spread(s) == planes
-            back = spread_from_planes(planes)
+            back = from_planes(planes)
             assert back.lines == Spread([dual(p) for p in planes]).lines == s.lines
 
-    def test_spread_from_planes_rejects_non_spreads(self, reference_pairs):
+    def test_non_spreads_of_planes_rejected(self, reference_pairs):
         s1, _ = reference_pairs[0]
         planes = list(dual_spread(s1))
         a, b, _ = planes[0].basis
@@ -375,10 +382,11 @@ class TestDualSpread:
             "plane of ambient 6": planes[:8] + [Subspace(planes[8].basis, 6)],
         }
         for ps in bad.values():
-            with pytest.raises(SpreadError):
-                spread_from_planes(ps)
-            with pytest.raises(SpreadError):  # the per-plane dual path agrees
+            with pytest.raises(SpreadError):  # by the per-plane dual
                 Spread([dual(p) for p in ps])
+            if all(p.n == 5 and p.dim == 3 for p in ps):  # and by plane id
+                with pytest.raises(SpreadError):
+                    from_planes(ps)
 
 
 def classify_per_line_oracle(lines8, plane) -> bool:
@@ -489,7 +497,7 @@ class TestClassifyAll:
             tags.append(st.tag)
             assert bulk.TAGS[bulk.types[k]] == st.tag
             assert tuple(bulk.counts[k]) == st.counts
-            assert bulk.common_pos[k] == (st.common_index if st.tag == "X" else -1)
+            assert bulk.common_pos[k] == (st.distinguished if st.tag == "X" else -1)
         assert set(tags) == {"X", "E", "IDelta"}
         assert (bulk.n_reguli == 4).all()
 
