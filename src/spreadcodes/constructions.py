@@ -182,10 +182,15 @@ def _far_planes() -> tuple:
     lines that miss S: a plane is far from them all iff it meets S in at
     least a line.  These are S and 14 planes through each line of S.  As
     S = <8, 16, 32>, the RREF rows with a pivot (lowest bit) below bit 3 span
-    a space of dimension 3 - dim(plane ∩ S): at most one may have it."""
-    return tuple(
-        Subspace(b, 6) for b in rref_bases(6, 3) if sum(r & 7 != 0 for r in b) <= 1
-    )
+    a space of dimension 3 - dim(plane ∩ S): at most one may have it.  A
+    plane other than S has the rows (v, a, b): (a, b) the RREF basis of its
+    line in S, v any of 7 low parts plus 0 or the one bit of S that is no
+    pivot of a or b, so 7 * 7 * 2 = 98 planes."""
+    out = [(8, 16, 32)]
+    for a, b in rref_bases(3, 2):  # the lines of S, shifted down by 3 bits
+        q = (7 ^ (a & -a) ^ (b & -b)) << 3
+        out += [(v | h, a << 3, b << 3) for v in range(1, 8) for h in (0, q)]
+    return tuple(Subspace(b, 6) for b in sorted(out))
 
 
 def hkk_configs(mode: str = "first") -> Iterator[HKKConfig]:

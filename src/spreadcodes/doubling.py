@@ -134,18 +134,16 @@ def validate_doubling(s1: Spread, s2: Spread) -> Verdict:
     return Verdict(True)
 
 
-def _dim(mask: int) -> int:
-    """The dimension of the subspace with point mask ``mask`` (2**dim bits)."""
-    return mask.bit_count().bit_length() - 1
-
-
 def min_distance(code: DoublingCode) -> int:
     """Minimum pairwise subspace distance over all 18 codewords, on their
     point masks: d(U, V) = dim U + dim V - 2 dim(U ∩ V) (``subspace_distance``
-    is the same formula on ``Subspace`` objects), each dimension taken once."""
-    cws = [(c.mask, _dim(c.mask)) for c in code.codewords]
+    is the same formula on ``Subspace`` objects), each codeword's dimension
+    taken once.  The meet's mask has 2**dim bits, so its dimension is the
+    bit length of that count minus one."""
+    cws = [(c.mask, c.dim) for c in code.codewords]
     return min(
-        da + db - 2 * _dim(a & b) for (a, da), (b, db) in itertools.combinations(cws, 2)
+        da + db + 2 - 2 * (a & b).bit_count().bit_length()
+        for (a, da), (b, db) in itertools.combinations(cws, 2)
     )
 
 
@@ -161,6 +159,8 @@ def intersection_pattern(
     plane: Subspace, s1: Spread, stype=None
 ) -> IntersectionPattern:
     """Pattern of a codeword plane against the reguli of a type-X spread."""
+    if plane.n != 5 or plane.dim != 3:
+        raise ValueError("need a plane of PG(4,2)")
     if stype is None:
         stype = classify(s1)
     if stype.tag != "X":

@@ -79,7 +79,9 @@ def parse_spread_text(text: str) -> List[Spread]:
     if not blocks:
         raise ParseError("no spread block", 1)
 
+    # per parse: token -> point, and a valid group's text -> its line id
     points: dict = {}
+    ids_of: dict = {}
     spreads = []
     for block in blocks:
         start = block[0][0]
@@ -96,12 +98,15 @@ def parse_spread_text(text: str) -> List[Spread]:
             )
         ids = []
         for g in groups:
-            tokens = [t.strip() for t in g.split(",") if t.strip()]
-            if len(tokens) != 3:
-                raise ParseError(
-                    f"{{{g}}} has {len(tokens)} tokens, expected 3", start
-                )
-            ids.append(_line_id(tokens, start, points))
+            i = ids_of.get(g)
+            if i is None:
+                tokens = [t.strip() for t in g.split(",") if t.strip()]
+                if len(tokens) != 3:
+                    raise ParseError(
+                        f"{{{g}}} has {len(tokens)} tokens, expected 3", start
+                    )
+                i = ids_of[g] = _line_id(tokens, start, points)
+            ids.append(i)
         try:
             spreads.append(Spread.from_line_ids(ids))
         except SpreadError as exc:

@@ -101,23 +101,25 @@ class Spread:
     def _set_ids(self, ids: list) -> None:
         """Store the 9 ids once they are pairwise-disjoint lines."""
         t = tables()
-        if not _disjoint(ids):
+        lines = tuple([t.lines[i] for i in ids])
+        line_bits = perp_bits = 0
+        cover = 1
+        for i, l in zip(ids, lines):
+            line_bits |= 1 << i
+            perp_bits |= t.plane_lines[i]
+            cover |= l.mask
+        if cover.bit_count() != 28:  # 27 points and the zero vector: _disjoint
             adj = t.adjacency
             a, b = next(
                 (a, b)
                 for a, b in itertools.combinations(range(9), 2)
                 if not adj[ids[a]] >> ids[b] & 1
             )
-            la, lb = t.lines[ids[a]], t.lines[ids[b]]
-            raise SpreadError(f"lines {a + 1} and {b + 1} intersect: {la!r}, {lb!r}")
-        line_bits = perp_bits = 0
-        cover = 1
-        for i in ids:
-            line_bits |= 1 << i
-            perp_bits |= t.plane_lines[i]
-            cover |= t.lines[i].mask
+            raise SpreadError(
+                f"lines {a + 1} and {b + 1} intersect: {lines[a]!r}, {lines[b]!r}"
+            )
         object.__setattr__(self, "line_ids", tuple(ids))
-        object.__setattr__(self, "lines", tuple(t.lines[i] for i in ids))
+        object.__setattr__(self, "lines", lines)
         object.__setattr__(self, "line_bits", line_bits)
         object.__setattr__(self, "perp_bits", perp_bits)
         object.__setattr__(self, "hole_mask", ((1 << 32) - 1) & ~cover)
@@ -144,21 +146,19 @@ class Spread:
 
 
 def _disjoint(ids) -> bool:
-    """Are the lines with these ids pairwise disjoint?  One AND per id: the
-    set of all of them must lie in the id's ``adjacency`` row plus itself,
-    and no id may repeat (a line meets itself).
+    """Are the lines with these ids pairwise disjoint?  A line has 3 points,
+    so k lines are iff their point masks cover 3k points plus bit 0, the
+    zero vector (a repeated id covers its points once).
 
     A plane's id is its dual line's, and two planes of PG(4,2) meet in
     exactly a point iff their dual lines are disjoint, so on plane ids this
     asks whether the planes pairwise meet in a point.
     """
-    adj = tables().adjacency
-    bits = 0
+    lines = tables().lines
+    cover = 1
     for a in ids:
-        bits |= 1 << a
-    if bits.bit_count() != len(ids):
-        return False
-    return all((adj[a] | 1 << a) & bits == bits for a in ids)
+        cover |= lines[a].mask
+    return cover.bit_count() == 3 * len(ids) + 1
 
 
 def holes(s: Spread) -> tuple:
@@ -207,14 +207,18 @@ def reguli(s: Spread) -> tuple:
     ls = tables().line_solids
     masks = [ls[i] for i in s.line_ids]
     three = _regulus_solids(masks)[1]
-    out = []
-    while three:
-        solid = three & -three
-        three ^= solid
-        out.append(tuple(i for i, m in enumerate(masks) if m & solid))
-    if sorted(map(len, out)) != [3] * 4:
+    # one pass: each position joins the group of every regulus solid on its line
+    by_solid = {}
+    for i, m in enumerate(masks):
+        m &= three
+        while m:
+            solid = m & -m
+            m ^= solid
+            by_solid.setdefault(solid, []).append(i)
+    out = sorted(map(tuple, by_solid.values()))
+    if [len(t) for t in out] != [3] * 4:
         raise SpreadAnomaly(f"lines of the regulus solids: {out}, expected 4 triples")
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 class SpreadType(NamedTuple):

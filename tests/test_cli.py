@@ -501,3 +501,28 @@ class TestOutputPins:
         argv = ["doubling", "--search-db", str(db), "--filter", *types]
         assert self._sha(capsys, argv) == sha
         assert len(reguli_calls) == len(spreads)
+
+    @pytest.mark.parametrize(
+        "argv, sha",
+        [
+            (["classify"],
+             "1000e4afec1a15e24eb866eeea6c3fe72fa55a30c001763a46f3153c494a18e6"),
+            (["classify", "--format", "json"],
+             "75c42b640ee3653dccce89d9eeb499e5d9a58de5f56b76492e6ba778d0ec5724"),
+            (["classify", "--format", "csv"],
+             "9fc2e46bd6c299b72c525ea8973a799b151d0971808613c74afbf31784d290f0"),
+            (["census", "--db"],
+             "85bbd92bbb3f0eef81980ef5c9af407c46138bf35f73621e517ebc71f6ff3195"),
+        ],
+    )
+    def test_typed_db(self, tmp_path, capsys, sample_spreads, argv, sha):
+        """``classify`` and ``census --db`` on a file of all three types: the
+        spreads of ``mixed_db`` (types X and E) and four seeded samples,
+        two of them of type IDelta."""
+        code, _ = next(cps_build(variant="basic", limit=1))
+        spreads = list(corpus.pair(1)) + [code.s1, code.s2]
+        spreads += sample_spreads(4, 1)
+        assert {classify(s).tag for s in spreads} == {"X", "E", "IDelta"}
+        db = tmp_path / "db.txt"
+        db.write_text(format_spreads(spreads))
+        assert self._sha(capsys, argv + [str(db)]) == sha

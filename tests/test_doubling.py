@@ -23,7 +23,7 @@ from spreadcodes.doubling import (
     pattern_census,
     validate_doubling,
 )
-from spreadcodes.gf2geom import dual, enumerate_subspaces, subspace_distance
+from spreadcodes.gf2geom import Subspace, dual, enumerate_subspaces, subspace_distance
 from spreadcodes.pg42 import tables
 from spreadcodes.spreads import (
     Spread,
@@ -220,6 +220,17 @@ class TestPatterns:
         assert classify(s_e).tag == "E"
         with pytest.raises(ValueError):
             intersection_pattern(dual_spread(s1)[0], s_e)
+
+    @pytest.mark.parametrize(
+        "basis, n",
+        [([1, 2], 5), ([1, 2, 4], 6), ([1, 2, 4, 8], 5)],
+        ids=["line", "plane of PG(5,2)", "solid"],
+    )
+    def test_pattern_requires_a_plane_of_pg42(self, reference_pairs, basis, n):
+        s1, _ = reference_pairs[0]
+        for stype in (None, classify(s1)):
+            with pytest.raises(ValueError, match=r"need a plane of PG\(4,2\)"):
+                intersection_pattern(Subspace(basis, n), s1, stype)
 
     def test_hole_count_rejects_illegal_combo(self, reference_pairs):
         # scanning every plane of PG(4,2): at least one shows a

@@ -161,6 +161,20 @@ class TestErrors:
         err = self._err(GOOD.replace("{24,15,3u}", "{1,25,125}"))
         assert "invalid spread" in str(err)
 
+    def test_line_listed_twice(self):
+        # the same line under a second text: the repeated id is the first
+        # intersecting pair
+        err = self._err(GOOD.replace("{24,15,3u}", "{125, 1,25}"))
+        assert str(err) == (
+            "line 3: invalid spread: lines 1 and 2 intersect: "
+            "Subspace(5, <1,25>), Subspace(5, <1,25>)"
+        )
+
+    def test_bad_group_among_groups_seen_before(self):
+        # the second block's other eight groups repeat the first block's texts
+        err = self._err(GOOD + "\n\n" + GOOD.replace("{24,15,3u}", "{1,2,4}"))
+        assert str(err) == "line 9: points {1,2,4} span dimension 3, not a line"
+
     def test_non_ascii_byte_names_its_line(self, tmp_path):
         p = tmp_path / "s.txt"
         for data, line in [
@@ -173,6 +187,30 @@ class TestErrors:
                 load_spread_file(p)
             assert ei.value.line == line
             assert "non-ASCII byte" in str(ei.value)
+
+
+class TestGroupMemo:
+    def test_line_id_once_per_distinct_group_per_parse(
+        self, monkeypatch, sample_spreads
+    ):
+        """Each distinct brace-group text is resolved once per parse, and
+        the memo does not outlive the parse."""
+        spreads = sample_spreads(6, 7)
+        spreads += spreads[:3]
+        text = format_spreads(spreads)
+        distinct = set(spreadfile._GROUP.findall(text))
+        assert len(distinct) < 9 * len(spreads)
+        calls = []
+        line_id = spreadfile._line_id
+        monkeypatch.setattr(
+            spreadfile,
+            "_line_id",
+            lambda tokens, *a: calls.append(",".join(tokens)) or line_id(tokens, *a),
+        )
+        assert parse_spread_text(text) == spreads
+        assert sorted(calls) == sorted(distinct)
+        assert parse_spread_text(text) == spreads
+        assert sorted(calls) == sorted([*distinct, *distinct])
 
 
 def _corpus_text():
