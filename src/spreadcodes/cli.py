@@ -1,9 +1,15 @@
 """Command-line front end.
 
+Every file a command writes goes through one writer, `_write_outputs`:
+each file atomically, with the mode a plain ``open(path, "w")`` gives a new
+file under the current umask, then one JSON manifest beside ``--out``
+(command, arguments, version, timestamp, SHA-256 of each file).  Without
+``--out`` the output goes to stdout; an empty ``--out`` is a usage error.
+
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 mathematical
 invariant violated (a structural fact the library treats as a theorem
-failed to verify -- kept distinct so automation can tell refutations from
-ordinary bugs).
+failed to verify, raised as a `SpreadAnomaly` -- kept distinct so
+automation can tell refutations from ordinary bugs).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import os
 import sys
 import tempfile
 import time
-from typing import Optional
 
 from . import __version__, corpus
 from .doubling import (
@@ -37,10 +42,6 @@ from .spreadfile import ParseError, load_spread_file
 USAGE_ERROR, PARSE_ERROR, INVARIANT_ERROR = 1, 2, 3
 
 
-class VerificationError(RuntimeError):
-    """A check that encodes a proven statement failed."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -53,9 +54,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _atomic_write(path: str, data: str) -> str:
     d = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
         try:
+            # mkstemp makes the file 0600; give it what open(path, "w") would
+            os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "w") as fh:
                 fh.write(data)
             os.replace(tmp, path)
@@ -69,37 +74,24 @@ def _atomic_write(path: str, data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-class RunManifest:
-    """What a run wrote, dumped in this key order next to its output: the
+def _write_outputs(args, files: dict):
+    """Write each ``path: text`` of ``files``, then ``--out``'s manifest: the
     command, its arguments, the version, the time of writing, and the
-    SHA-256 of each output file."""
-
-    def __init__(
-        self,
-        command: str,
-        arguments: list,
-        version: str = __version__,
-        timestamp: str = "",
-        outputs: Optional[dict] = None,
-    ):
-        self.command = command
-        self.arguments = arguments
-        self.version = version
-        self.timestamp = timestamp
-        self.outputs = {} if outputs is None else outputs
-
-    def write(self, out_path: str):
-        self.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        _atomic_write(
-            out_path + ".manifest.json", json.dumps(self.__dict__, indent=2) + "\n"
-        )
+    SHA-256 of each file, in this key order."""
+    outputs = {path: _atomic_write(path, text) for path, text in files.items()}
+    manifest = {
+        "command": args.cmd,
+        "arguments": args.argv,
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "outputs": outputs,
+    }
+    _atomic_write(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
-        manifest = RunManifest(args.cmd, args.argv)
-        manifest.outputs[args.out] = _atomic_write(args.out, text)
-        manifest.write(args.out)
+    if args.out:
+        _write_outputs(args, {args.out: text})
     else:
         sys.stdout.write(text)
 
@@ -254,47 +246,39 @@ def cmd_doubling(args):
     return 0
 
 
-def _census_text(census) -> str:
-    rows = [
-        (str(counts), meets, holes_, ninth, c)
-        for (counts, meets, holes_, ninth), c in sorted(census.histogram.items())
-    ]
-    text = _tabulate(rows, ("pattern", "meets_a9", "holes", "ninth", "count"), "text")
-    text += f"pairs: {census.pair_count}\n"
-    text += f"open pattern (3,3,3,1) count: {census.open_pattern_count}\n"
-    text += f"violations: {len(census.violations)}\n"
-    return text
-
-
 def cmd_census(args):
     if args.exhaustive:
         census = exhaustive_xx_census(limit=args.limit)
     else:
         db = load_spread_file(args.db)
         census = pattern_census((db[i], db[j]) for i, j in optimal_pairs(db))
+    violations = census.violations
+    header = ("pattern", "meets_a9", "holes", "ninth", "count")
+    hist = sorted(census.histogram.items())
     if args.out:
-        manifest = RunManifest(args.cmd, args.argv)
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(("pattern", "meets_a9", "holes", "ninth", "count"))
-        for (counts, meets, holes_, ninth), c in sorted(census.histogram.items()):
-            w.writerow(("".join(map(str, counts)), int(meets), holes_, int(ninth), c))
-        manifest.outputs[args.out] = _atomic_write(args.out, buf.getvalue())
         summary = {
             "pairs": census.pair_count,
             "planes": census.plane_count,
             "open_pattern_count": census.open_pattern_count,
             "eliminated_pattern_count": census.eliminated_pattern_count,
-            "violations": census.violations,
+            "violations": violations,
         }
-        spath = args.out + ".summary.json"
-        manifest.outputs[spath] = _atomic_write(
-            spath, json.dumps(summary, indent=2) + "\n"
-        )
-        manifest.write(args.out)
-    sys.stdout.write(_census_text(census))
-    if census.violations:
-        raise VerificationError(f"census violations: {census.violations[:3]}")
+        rows = [("".join(map(str, counts)), int(meets), holes_, int(ninth), c)
+                for (counts, meets, holes_, ninth), c in hist]
+        _write_outputs(args, {
+            args.out: _tabulate(rows, header, "csv"),
+            args.out + ".summary.json": json.dumps(summary, indent=2) + "\n",
+        })
+    rows = [(str(counts), meets, holes_, ninth, c)
+            for (counts, meets, holes_, ninth), c in hist]
+    sys.stdout.write(
+        _tabulate(rows, header, "text")
+        + f"pairs: {census.pair_count}\n"
+        + f"open pattern (3,3,3,1) count: {census.open_pattern_count}\n"
+        + f"violations: {len(violations)}\n"
+    )
+    if violations:
+        raise SpreadAnomaly(f"census violations: {violations[:3]}")
     return 0
 
 
@@ -317,7 +301,7 @@ def cmd_hkk(args):
             )
         )
         if not rep.ok:
-            raise VerificationError(f"HKK structural check failed: {rep}")
+            raise SpreadAnomaly(f"HKK structural check failed: {rep}")
     text = _tabulate(
         rows, ("P", "H_basis", "s1", "s2", "min_dist", "ninth_pattern", "ok"),
         args.format,
@@ -385,7 +369,7 @@ def cmd_verify_paper(args):
         failures.extend((n, b) for b in bad)
     _emit(args, "\n".join(lines) + "\n")
     if failures:
-        raise VerificationError(f"reference corpus mismatches: {failures}")
+        raise SpreadAnomaly(f"reference corpus mismatches: {failures}")
     return 0
 
 
@@ -461,6 +445,8 @@ def main(argv=None) -> int:
     args.argv = sys.argv[1:] if argv is None else list(argv)
     if getattr(args, "limit", None) is not None and args.limit < 0:
         parser.error(f"--limit must not be negative: {args.limit}")
+    if args.out == "":
+        parser.error("--out needs a file name")
     if args.cmd == "doubling":
         if not args.search_db and not (args.file1 and args.file2):
             parser.error("doubling needs FILE1 FILE2 or --search-db")
@@ -478,7 +464,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except (SpreadAnomaly, VerificationError) as exc:
+    except SpreadAnomaly as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
     except OSError as exc:

@@ -50,21 +50,8 @@ __all__ = [
     "OPEN_PATTERN",
 ]
 
-# the six patterns a codeword plane of an optimal type-X pair may show
-ALLOWED_PATTERNS = (
-    (2, 2, 2, 0),
-    (2, 2, 1, 1),
-    (3, 3, 1, 1),
-    (2, 2, 2, 2),
-    (3, 3, 2, 2),
-    (3, 3, 3, 1),
-)
-# patterns available to the distinguished ninth plane (dual of S2's common line)
-NINTH_PLANE_PATTERNS = ALLOWED_PATTERNS[:5]
-ELIMINATED_PATTERN = (3, 2, 2, 1)
-OPEN_PATTERN = (3, 3, 3, 1)
-
-# expected (meets_common, hole_count) combination per pattern
+# the six patterns a codeword plane of an optimal type-X pair may show, each
+# with its (meets_common, hole_count) combination
 PATTERN_HOLES = {
     (2, 2, 2, 0): (False, 1),
     (2, 2, 1, 1): (False, 1),
@@ -73,6 +60,11 @@ PATTERN_HOLES = {
     (3, 3, 2, 2): (True, 0),
     (3, 3, 3, 1): (True, 0),
 }
+ALLOWED_PATTERNS = tuple(PATTERN_HOLES)
+# patterns available to the distinguished ninth plane (dual of S2's common line)
+NINTH_PLANE_PATTERNS = ALLOWED_PATTERNS[:5]
+ELIMINATED_PATTERN = (3, 2, 2, 1)
+OPEN_PATTERN = (3, 3, 3, 1)
 
 
 class Verdict(NamedTuple):
@@ -177,7 +169,7 @@ def intersection_pattern(
     )
 
 
-class PatternCensus:
+class PatternCensus(NamedTuple):
     """Histogram of intersection patterns over a set of doubling pairs.
 
     Keys of ``histogram`` are (counts, meets_common, holes, is_ninth)
@@ -185,17 +177,9 @@ class PatternCensus:
     common line.
     """
 
-    def __init__(
-        self,
-        histogram: dict,
-        pair_count: int = 0,
-        violations: Optional[list] = None,
-        s1_count: int = 0,
-    ):
-        self.histogram = histogram
-        self.pair_count = pair_count
-        self.violations = [] if violations is None else violations
-        self.s1_count = s1_count
+    histogram: dict
+    pair_count: int = 0
+    s1_count: int = 0
 
     @property
     def plane_count(self) -> int:
@@ -215,8 +199,9 @@ class PatternCensus:
     def eliminated_pattern_count(self) -> int:
         return self.by_pattern().get(ELIMINATED_PATTERN, 0)
 
-    def check(self) -> list:
-        """Recompute the violation list from the histogram."""
+    @property
+    def violations(self) -> list:
+        """The histogram's entries that break the characterization."""
         out = []
         for (counts, meets, holes, ninth), c in self.histogram.items():
             if counts not in ALLOWED_PATTERNS:
@@ -235,7 +220,7 @@ def pattern_census(pairs: Iterable[Tuple[Spread, Spread]]) -> PatternCensus:
     """Pattern census over an explicit stream of validated optimal (X,X)
     pairs; the patterns need a type-X S1, the ninth plane a type-X S2."""
     hist = {}
-    census = PatternCensus(hist)
+    pair_count = 0
     for s1, s2 in pairs:
         t1, t2 = classify(s1), classify(s2)
         if (t1.tag, t2.tag) != ("X", "X"):
@@ -250,9 +235,8 @@ def pattern_census(pairs: Iterable[Tuple[Spread, Spread]]) -> PatternCensus:
             ninth = j == t2.distinguished
             key = (pat.counts, pat.meets_common, pat.hole_count, ninth)
             hist[key] = hist.get(key, 0) + 1
-        census.pair_count += 1
-    census.violations = census.check()
-    return census
+        pair_count += 1
+    return PatternCensus(hist, pair_count)
 
 
 def optimal_pairs(
@@ -370,15 +354,14 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     """
     s1, n_x = _xx_context()
     n = n_x if limit is None else max(0, min(limit, n_x))
-    census = PatternCensus({}, s1_count=n)
-    if n:
-        # a line of S1 lies in the dual plane of line j iff line j lies in
-        # the dual plane of that line (orthogonality is symmetric), so the
-        # partners are the type-X spreads of lines outside ``s1.perp_bits``
-        bulk = classify_cliques((), (1 << N_LINES) - 1 & ~s1.perp_bits)
-        partners = bulk.line_ids[bulk.types == 0]
-        one = pattern_census((s1, Spread.from_line_ids(r)) for r in partners)
-        census.histogram = {key: c * n for key, c in one.histogram.items()}
-        census.pair_count = one.pair_count * n
-    census.violations = census.check()
-    return census
+    if not n:
+        return PatternCensus({})
+    # a line of S1 lies in the dual plane of line j iff line j lies in
+    # the dual plane of that line (orthogonality is symmetric), so the
+    # partners are the type-X spreads of lines outside ``s1.perp_bits``
+    bulk = classify_cliques((), (1 << N_LINES) - 1 & ~s1.perp_bits)
+    partners = bulk.line_ids[bulk.types == 0]
+    one = pattern_census((s1, Spread.from_line_ids(r)) for r in partners)
+    return PatternCensus(
+        {key: c * n for key, c in one.histogram.items()}, one.pair_count * n, n
+    )

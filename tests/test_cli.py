@@ -10,7 +10,7 @@ import pytest
 import spreadcodes
 from spreadcodes import cli, corpus
 from spreadcodes.constructions import cps_build, hkk_build
-from spreadcodes.doubling import validate_doubling
+from spreadcodes.doubling import PatternCensus, validate_doubling
 from spreadcodes.spreads import classify, reguli
 
 from conftest import format_spreads
@@ -97,6 +97,21 @@ class TestExitCodes:
         assert cli.main(["verify-paper"]) == 3
         assert "invariant violation" in capsys.readouterr().err
 
+    def test_census_violation_is_3(self, monkeypatch, db_file, capsys):
+        """A census with a plane of the eliminated pattern prints its table,
+        then fails as an invariant violation that names the pattern."""
+        key = ((3, 2, 2, 1), True, 0, False)
+        monkeypatch.setattr(
+            cli, "pattern_census", lambda pairs: PatternCensus({key: 1}, 1)
+        )
+        assert cli.main(["census", "--db", str(db_file)]) == 3
+        captured = capsys.readouterr()
+        assert "violations: 1\n" in captured.out
+        assert captured.err == (
+            "invariant violation: census violations: "
+            "[('pattern outside allowed set', (3, 2, 2, 1), 1)]\n"
+        )
+
     def test_missing_file_is_1(self, capsys):
         assert cli.main(["classify", "/nonexistent/file.txt"]) == 1
 
@@ -149,6 +164,27 @@ class TestOptions:
             cli.main([files.get(a, a) for a in argv])
         assert ei.value.code == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "lines"],
+            ["verify-paper"],
+            ["classify", "S1"],
+            ["census", "--db", "S1"],
+        ],
+    )
+    def test_empty_out_is_usage_error(self, pair_file, tmp_path, argv, capsys):
+        """An empty ``--out`` names no file: it is refused, not taken as
+        stdout, and nothing is written."""
+        files = dict(zip(("S1", "S2"), map(str, pair_file)))
+        with pytest.raises(SystemExit) as ei:
+            cli.main([files.get(a, a) for a in argv] + ["--out", ""])
+        assert ei.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.txt", "s2.txt"]
 
 
 class TestNoSpreadBlock:
@@ -209,6 +245,21 @@ class TestAtomicOutput:
         assert manifest["timestamp"]
         # nothing goes to stdout when writing to a file
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"]
+    )
+    def test_out_files_follow_the_umask(self, db_file, tmp_path, capsys, umask, mode):
+        """The output, summary and manifest get the mode a plain ``open(path,
+        "w")`` gives a new file, not the 0600 of a temporary file."""
+        out = tmp_path / "census.csv"
+        old = os.umask(umask)
+        try:
+            assert cli.main(["census", "--db", str(db_file), "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        for suffix in ("", ".summary.json", ".manifest.json"):
+            assert os.stat(f"{out}{suffix}").st_mode & 0o777 == mode
 
     @pytest.mark.parametrize(
         "argv",
@@ -449,6 +500,12 @@ class TestOutputPins:
              "c2adb0f50f16ce27fde08b5d9085d726138c4442e106c62559652a6bbc101e84"),
             (["hkk", "--limit", "32", "--format", "json"],
              "c1b22aa65307cb942041265ac8191742b35481b12a31ed0b624c54f3fe9cd2df"),
+            (["enumerate", "lines", "--format", "csv"],
+             "152d237b532d8cad46bec3ea586ae9fff1db666abf777ac3f72d571d65be566f"),
+            (["hkk", "--limit", "3"],
+             "33ff6c971cd3ecab3955ee4d7485906e1a003a88e0bd9df03e39d0012ed5510e"),
+            (["cps", "--variant", "replace_plane"],
+             "b7fda31b5d5852b9ff3c52c59a478a090082838634ec3e23b7b70aaff9c8bee8"),
         ],
     )
     def test_command(self, capsys, argv, sha):
@@ -502,6 +559,19 @@ class TestOutputPins:
         assert self._sha(capsys, argv) == sha
         assert len(reguli_calls) == len(spreads)
 
+    @pytest.fixture()
+    def typed_db_file(self, tmp_path, sample_spreads):
+        """A spread file of all three types: the spreads of ``mixed_db``
+        (types X and E) and four seeded samples, two of them of type
+        IDelta."""
+        code, _ = next(cps_build(variant="basic", limit=1))
+        spreads = list(corpus.pair(1)) + [code.s1, code.s2]
+        spreads += sample_spreads(4, 1)
+        assert {classify(s).tag for s in spreads} == {"X", "E", "IDelta"}
+        db = tmp_path / "db.txt"
+        db.write_text(format_spreads(spreads))
+        return db
+
     @pytest.mark.parametrize(
         "argv, sha",
         [
@@ -515,14 +585,35 @@ class TestOutputPins:
              "85bbd92bbb3f0eef81980ef5c9af407c46138bf35f73621e517ebc71f6ff3195"),
         ],
     )
-    def test_typed_db(self, tmp_path, capsys, sample_spreads, argv, sha):
-        """``classify`` and ``census --db`` on a file of all three types: the
-        spreads of ``mixed_db`` (types X and E) and four seeded samples,
-        two of them of type IDelta."""
-        code, _ = next(cps_build(variant="basic", limit=1))
-        spreads = list(corpus.pair(1)) + [code.s1, code.s2]
-        spreads += sample_spreads(4, 1)
-        assert {classify(s).tag for s in spreads} == {"X", "E", "IDelta"}
-        db = tmp_path / "db.txt"
-        db.write_text(format_spreads(spreads))
-        assert self._sha(capsys, argv + [str(db)]) == sha
+    def test_typed_db(self, capsys, typed_db_file, argv, sha):
+        """``classify`` and ``census --db`` on ``typed_db_file``."""
+        assert self._sha(capsys, argv + [str(typed_db_file)]) == sha
+
+    @pytest.mark.parametrize(
+        "argv, shas",
+        [
+            (["census", "--db", "DB"],
+             ("85bbd92bbb3f0eef81980ef5c9af407c46138bf35f73621e517ebc71f6ff3195",
+              "5ca7a5e6fd92084cb1eefe2f0238275c4455dfe25a9df956bda77d5df480d9e6",
+              "2659c5e8c1b3b5407e900318ec6b34ade1609fae6993290c1eda6065930078d8")),
+            (["census", "--exhaustive", "--limit", "3"],
+             ("a5c1fac365ece278d5643f794faa76f7029762d25c1f1818f4dee7aa8dae9576",
+              "a8f9912af3427eee5933486a18e319fd5b7a5cc8cc2a792a420a6af83dea610d",
+              "15261fca330f0d00d83d0800ae1b9b49d2187c5d2dc0b9d60b5622c16ed2e7e3")),
+        ],
+        ids=["db", "exhaustive"],
+    )
+    def test_census_out(self, tmp_path, capsys, typed_db_file, argv, shas):
+        """``census --out OUT`` on ``typed_db_file`` and on three type-X
+        first spreads: the stdout, the CSV at OUT and OUT.summary.json, and
+        the keys of OUT.manifest.json."""
+        out = tmp_path / "census.csv"
+        argv = [str(typed_db_file) if a == "DB" else a for a in argv]
+        assert self._sha(capsys, argv + ["--out", str(out)]) == shas[0]
+        files = [out, tmp_path / "census.csv.summary.json"]
+        digests = [hashlib.sha256(f.read_bytes()).hexdigest() for f in files]
+        assert digests == list(shas[1:])
+        manifest = json.loads((tmp_path / "census.csv.manifest.json").read_text())
+        assert list(manifest) == ["command", "arguments", "version", "timestamp",
+                                  "outputs"]
+        assert manifest["outputs"] == dict(zip(map(str, files), digests))

@@ -235,7 +235,7 @@ class TestPatterns:
     def test_hole_count_rejects_illegal_combo(self, reference_pairs):
         # scanning every plane of PG(4,2): at least one shows a
         # (meets_common, holes) combination outside the trichotomy that
-        # ``PATTERN_HOLES`` states for codeword planes, and ``check`` flags
+        # ``PATTERN_HOLES`` states for codeword planes, and ``violations`` flags
         # a census entry of it
         s1, _ = reference_pairs[0]
         st = classify(s1)
@@ -249,7 +249,7 @@ class TestPatterns:
         assert len(illegal) >= 1
         for pat in illegal:
             key = (pat.counts, pat.meets_common, pat.hole_count, False)
-            assert doubling.PatternCensus({key: 1}).check() != []
+            assert doubling.PatternCensus({key: 1}).violations != []
 
 
 class TestCensusStreaming:
@@ -258,7 +258,6 @@ class TestCensusStreaming:
         assert census.pair_count == 5
         assert census.plane_count == 45
         assert census.violations == []
-        assert census.check() == []
         assert census.eliminated_pattern_count == 0
         assert set(census.by_pattern()) <= set(ALLOWED_PATTERNS)
         ninth = {counts for (counts, _m, _h, n) in census.histogram if n}
