@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every file a command writes goes through one writer, `_write_outputs`:
-each file atomically, with the mode a plain ``open(path, "w")`` gives a new
-file under the current umask, then one JSON manifest beside ``--out``
+each file atomically as a plain ``open(path, "w")`` would write it (through
+a link, keeping an existing file's mode), then one JSON manifest beside ``--out``
 (command, arguments, version, timestamp, SHA-256 of each file).  Without
 ``--out`` the output goes to stdout; an empty ``--out`` is a usage error.
 
@@ -15,7 +15,7 @@ automation can tell refutations from ordinary bugs).
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -25,7 +25,7 @@ import sys
 import tempfile
 import time
 
-from . import __version__, corpus
+from . import __version__
 from .doubling import (
     DoublingCode,
     exhaustive_xx_census,
@@ -53,17 +53,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, data: str) -> str:
-    d = os.path.dirname(os.path.abspath(path)) or "."
     umask = os.umask(0)
     os.umask(umask)
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+        real = os.path.realpath(path)  # a link's target, as open(path, "w")
+        mode = os.stat(real).st_mode if os.path.exists(real) else 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".tmp-")
         try:
-            # mkstemp makes the file 0600; give it what open(path, "w") would
-            os.fchmod(fd, 0o666 & ~umask)
+            os.fchmod(fd, mode & 0o777)  # mkstemp makes the file 0600
             with os.fdopen(fd, "w") as fh:
                 fh.write(data)
-            os.replace(tmp, path)
+            os.replace(tmp, real)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -100,6 +100,8 @@ def _tabulate(rows, header, fmt):
     if fmt == "json":
         return json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(header)
@@ -341,6 +343,8 @@ def cmd_cps(args):
 
 
 def cmd_verify_paper(args):
+    from . import corpus
+
     failures = []
     lines = []
     for n in range(1, corpus.N_PAIRS + 1):
@@ -376,6 +380,7 @@ def cmd_verify_paper(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="spreadcodes", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)

@@ -207,22 +207,22 @@ def hkk_configs(mode: str = "first") -> Iterator[HKKConfig]:
     """
     if mode not in ("first", "all"):
         raise ValueError(f"unknown mode {mode!r}")
-    far = _far_planes()
+    far = [(f, f.mask) for f in _far_planes()]
+    hyperplanes = [(h, h.mask) for h in enumerate_subspaces(6, 5)]
     sm = build_lifted_gabidulin().special_plane.mask
     for p in range(1, 64):
         if sm >> p & 1:
             continue
-        es = [e for e in far if e.mask >> p & 1]
-        for h in enumerate_subspaces(6, 5):
-            hm = h.mask
+        es = [(e, em) for e, em in far if em >> p & 1]
+        for h, hm in hyperplanes:
             if (sm & ~hm) == 0 or hm >> p & 1:
                 continue
             valid = (
                 HKKConfig(p, h, e, ep)
-                for ep in far
-                if not ep.mask & ~hm
-                for e in es
-                if _far(e.mask, ep.mask)
+                for ep, epm in far
+                if not epm & ~hm
+                for e, em in es
+                if _far(em, epm)
             )
             yield from itertools.islice(valid, 1 if mode == "first" else None)
 
@@ -454,6 +454,16 @@ def _completing_reguli(l1):
             yield a, b, c
 
 
+@functools.cache
+def _planes_through(i: int) -> tuple:
+    """The 7 planes through line ``i`` in canonical-basis order (plane j holds
+    line i iff line j lies in plane i, by symmetry), and the map from each of
+    the 28 points N off line i to the one of them that holds it, <i, N>."""
+    t = tables()
+    th = _by_basis(t.planes, _bits(t.plane_lines[i]))
+    return th, {n: j for j in th for n in _bits(t.planes[j].mask & ~t.lines[i].mask)}
+
+
 def cps_build(
     variant: str = "basic",
     limit: Optional[int] = None,
@@ -501,18 +511,10 @@ def cps_build(
             # a plane lies in the carrier solid iff its dual line holds the
             # solid's dual point, bit p - 1 of both lines' ``line_solids``
             carrier_point = (t.line_solids[r1[0]] & t.line_solids[r1[1]]).bit_length()
-            covered = 0
-            for i in plane_part:
-                covered |= t.lines[i].mask
-            # the planes through each line i of plane_part (plane j holds line i
-            # iff line j lies in plane i, by symmetry); <i, N> is the one with N
-            through = [
-                _by_basis(t.planes, _bits(t.plane_lines[i])) for i in plane_part
-            ]
-            for n in range(1, 32):
-                if covered >> n & 1:
-                    continue
-                base = tuple(next(j for j in th if n in t.planes[j]) for th in through)
+            through, plane_of = zip(*map(_planes_through, plane_part))
+            # N runs over the 22 points off the three lines, ascending
+            for n in sorted(set(plane_of[0]).intersection(*plane_of[1:])):
+                base = tuple(m[n] for m in plane_of)
                 if variant in ("basic", "swap_reguli"):
                     choices = [(None, base)]
                 else:

@@ -261,6 +261,64 @@ class TestAtomicOutput:
         for suffix in ("", ".summary.json", ".manifest.json"):
             assert os.stat(f"{out}{suffix}").st_mode & 0o777 == mode
 
+    @staticmethod
+    def _write_points(out, capsys) -> str:
+        """Run ``enumerate points --limit 1 --out OUT`` under umask 022 and
+        return the text it writes, as the same command prints it."""
+        argv = ["enumerate", "points", "--limit", "1"]
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+        old = os.umask(0o022)
+        try:
+            assert cli.main(argv + ["--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert capsys.readouterr() == ("", "")
+        return text
+
+    def test_out_through_a_link_writes_its_target(self, tmp_path, capsys):
+        """``--out`` onto a symbolic link, for the output and its manifest,
+        writes what the link points to, as ``open(path, "w")`` would: the
+        links stay, and their 0640 targets keep their mode."""
+        out = tmp_path / "out.txt"
+        (tmp_path / "data").mkdir()
+        links = {}
+        for link in (out, tmp_path / "out.txt.manifest.json"):
+            target = tmp_path / "data" / link.name
+            target.write_text("old\n")
+            target.chmod(0o640)
+            link.symlink_to(os.path.join("data", link.name))
+            links[link] = target
+        text = self._write_points(out, capsys)
+        for link, target in links.items():
+            assert link.is_symlink()
+            assert os.readlink(link) == os.path.join("data", link.name)
+            assert target.stat().st_mode & 0o777 == 0o640
+        assert links[out].read_text() == text
+        manifest = json.loads(links[tmp_path / "out.txt.manifest.json"].read_text())
+        assert manifest["outputs"] == {
+            str(out): hashlib.sha256(text.encode()).hexdigest()
+        }
+        # no temporary file is left beside a link or its target
+        names = ["out.txt", "out.txt.manifest.json"]
+        assert sorted(os.path.relpath(p, tmp_path) for p in tmp_path.rglob("*")) == (
+            ["data"] + [os.path.join("data", n) for n in names] + names
+        )
+
+    def test_out_onto_an_existing_file_keeps_its_mode(self, tmp_path, capsys):
+        """An existing output and manifest keep their 0640 mode under a
+        umask of 022, as ``open(path, "w")`` leaves them."""
+        out = tmp_path / "out.txt"
+        paths = (out, tmp_path / "out.txt.manifest.json")
+        for path in paths:
+            path.write_text("old\n")
+            path.chmod(0o640)
+        text = self._write_points(out, capsys)
+        assert out.read_text() == text
+        assert json.loads(paths[1].read_text())["command"] == "enumerate"
+        for path in paths:
+            assert path.stat().st_mode & 0o777 == 0o640
+
     @pytest.mark.parametrize(
         "argv",
         [["verify-paper", "--out", "OUT"], ["census", "--db", "DB", "--out", "OUT"]],
@@ -417,6 +475,46 @@ class TestVerifyPaper:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 5
         assert all(l.endswith("ok") for l in out)
+
+
+class TestReentrantMain:
+    def test_calls_in_one_process_match_fresh_interpreters(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``main`` reuses one parser.  A sequence of calls in this process,
+        with a usage error, ``--version``'s exit and a parse error among
+        them, gives each call the exit code, stdout and stderr it gives on
+        its own in a fresh interpreter."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"{1,2,12}\xc3\xa9\n")
+        calls = [
+            ["hkk", "--mode", "bogus"],
+            ["--version"],
+            ["hkk", "--limit", "1"],
+            ["cps", "--variant", "swap_reguli", "--limit", "1", "--format", "json"],
+            ["classify", str(bad)],
+            ["hkk", "--limit", "1"],
+        ]
+        # usage lines wrap at the terminal width: the same in both
+        monkeypatch.setenv("COLUMNS", "80")
+        src = os.path.dirname(os.path.dirname(spreadcodes.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        codes = []
+        for argv in calls:
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "spreadcodes.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(rc)
+        assert codes == [1, 0, 0, 0, 2, 0]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestImports:

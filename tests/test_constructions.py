@@ -24,12 +24,20 @@ from spreadcodes.gf2geom import (
     Subspace,
     act_vector,
     enumerate_subspaces,
+    join,
     meet,
     rref,
     subspace_distance,
 )
 from spreadcodes.pg42 import tables
-from spreadcodes.spreads import Spread, _disjoint, classify, dual_spread, is_regulus
+from spreadcodes.spreads import (
+    Spread,
+    _disjoint,
+    _opposite_regulus_ids,
+    classify,
+    dual_spread,
+    is_regulus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -415,6 +423,62 @@ class TestCPSBuild:
                 bits = sum(1 << i for i in pset)
                 fast = _disjoint(pset) and not bits & ~orbit_and
                 assert fast == _disjoint(p1 + pset), (p1, pset)
+
+    @staticmethod
+    def _scan_through(t, i) -> list:
+        """The planes through line ``i`` in canonical-basis order, by
+        containment of point sets."""
+        order = sorted(range(len(t.planes)), key=lambda j: t.planes[j].basis)
+        return [j for j in order if t.lines[i] <= t.planes[j]]
+
+    def test_plane_lookup_matches_scan_oracle(self):
+        """<l, N> by ``_planes_through``'s map against the scan it replaced,
+        the first plane through l that holds N, for every line l and every
+        one of the 28 points N off l."""
+        t = tables()
+        for i, line in enumerate(t.lines):
+            through, plane_of = constructions._planes_through(i)
+            assert list(through) == self._scan_through(t, i)
+            off = [n for n in range(1, 32) if n not in line]
+            assert sorted(plane_of) == off and len(off) == 28
+            for n in off:
+                assert plane_of[n] == next(j for j in through if n in t.planes[j])
+
+    def test_plane_sets_match_scan_oracle(self, visited):
+        """Every plane set ``cps_build`` weighs, in order, the replace_plane
+        alternatives included, against the loop it ran before ``<l, N>``
+        was a lookup: N over the points off the plane-part lines, <l, N> by
+        scan, and an alternative any other plane through l outside the
+        carrier solid."""
+        t = tables()
+        orbits = cps_orbits()
+        expected = []
+        for variant in ("basic", "swap_reguli", "replace_plane"):
+            for li in orbits.good_line_orbits:
+                for r2 in constructions._completing_reguli(orbits.line_orbits[li]):
+                    r1 = _opposite_regulus_ids(r2)
+                    part = r2 if variant == "swap_reguli" else r1
+                    solid = join(t.lines[r1[0]], t.lines[r1[1]])  # the carrier
+                    through = [self._scan_through(t, i) for i in part]
+                    covered = functools.reduce(
+                        int.__or__, (t.lines[i].mask for i in part)
+                    )
+                    for n in range(1, 32):
+                        if covered >> n & 1:
+                            continue
+                        base = tuple(
+                            next(j for j in th if n in t.planes[j]) for th in through
+                        )
+                        if variant != "replace_plane":
+                            expected.append(base)
+                            continue
+                        expected += [
+                            base[:k] + (alt,) + base[k + 1:]
+                            for k in range(3)
+                            for alt in through[k]
+                            if alt != base[k] and not t.planes[alt] <= solid
+                        ]
+        assert visited.calls == expected
 
 
 class TestOutputPins:

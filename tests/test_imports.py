@@ -3,6 +3,11 @@ name it exports is read by the program, and no module imports
 ``dataclasses``."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -130,3 +135,39 @@ def test_no_dataclasses(path):
 def test_detects_a_dataclasses_import():
     src = "import os\nimport dataclasses\ndef f():\n    from dataclasses import field\n"
     assert _dataclass_imports(src) == [2, 4]
+
+
+# a fresh interpreter: this one has numpy and every module loaded
+CLI_IMPORT = textwrap.dedent(
+    """
+    import contextlib, hashlib, io, json, sys
+    import spreadcodes.cli
+
+    watched = ("csv", "spreadcodes.corpus", "numpy")
+    out = {"loaded": [m for m in watched if m in sys.modules]}
+    for argv in (["enumerate", "lines", "--format", "csv"], ["verify-paper"]):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = spreadcodes.cli.main(argv)
+        out[argv[0]] = hashlib.sha256(f"{rc}\\n{buf.getvalue()}".encode()).hexdigest()
+    print(json.dumps(out))
+    """
+)
+
+
+def test_cli_loads_csv_and_corpus_on_demand():
+    """``import spreadcodes.cli`` loads neither ``csv`` nor the corpus nor
+    numpy; the commands that need the first two still print their pinned
+    output (``TestOutputPins`` in ``tests/test_cli.py``) in that process."""
+    src = str(Path(spreadcodes.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_IMPORT],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(proc.stdout) == {
+        "loaded": [],
+        "enumerate": "152d237b532d8cad46bec3ea586ae9fff1db666abf777ac3f72d571d65be566f",
+        "verify-paper": "d5bca078674d1709ee5f2a429a4383cc4b534ea616e0a1f9076da8afc9b39e42",
+    }
