@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .gf2geom import (  # noqa: F401
     Subspace,
-    span,
     meet,
     join,
     dual,

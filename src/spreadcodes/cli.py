@@ -3,8 +3,10 @@
 Every file a command writes goes through one writer, `_write_outputs`:
 each file atomically as a plain ``open(path, "w")`` would write it (through
 a link, keeping an existing file's mode), then one JSON manifest beside ``--out``
-(command, arguments, version, timestamp, SHA-256 of each file).  Without
-``--out`` the output goes to stdout; an empty ``--out`` is a usage error.
+(command, arguments, version, timestamp, SHA-256 of each file).  A path that
+exists and is not a regular file is refused before anything is written.
+Without ``--out`` the output goes to stdout; an empty ``--out`` is a usage
+error.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 mathematical
 invariant violated (a structural fact the library treats as a theorem
@@ -15,12 +17,14 @@ automation can tell refutations from ordinary bugs).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import io
 import itertools
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -77,7 +81,19 @@ def _atomic_write(path: str, data: str) -> str:
 def _write_outputs(args, files: dict):
     """Write each ``path: text`` of ``files``, then ``--out``'s manifest: the
     command, its arguments, the version, the time of writing, and the
-    SHA-256 of each file, in this key order."""
+    SHA-256 of each file, in this key order.
+
+    Nothing is written if any of these paths exists and is not a regular
+    file, such as a FIFO or a device node, which replacing would turn into
+    one.  The check stats the path: opening a FIFO for writing blocks."""
+    manifest_path = args.out + ".manifest.json"
+    for path in (*files, manifest_path):
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            continue
+        if not stat.S_ISREG(mode):
+            raise OSError(errno.EEXIST, "exists and is not a regular file", path)
     outputs = {path: _atomic_write(path, text) for path, text in files.items()}
     manifest = {
         "command": args.cmd,
@@ -86,7 +102,7 @@ def _write_outputs(args, files: dict):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "outputs": outputs,
     }
-    _atomic_write(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _emit(args, text: str):

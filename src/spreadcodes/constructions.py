@@ -322,8 +322,8 @@ def hkk_pattern_check(result: HKKResult) -> HKKPatternReport:
     pats = [intersection_pattern(pl, s1) for pl in code.planes]
     ninth = pats[8]
     t = tables()  # α9 is the plane of the common line and the 4 holes
-    alpha9 = t.planes[t.plane_id[s1.lines[t1.distinguished].mask | s1.hole_mask]]
-    regfree = verify_regulus_free_extension(s1.lines[:8], alpha9)
+    alpha9 = t.plane_id[s1.lines[t1.distinguished].mask | s1.hole_mask]
+    regfree = verify_regulus_free_extension(s1.line_ids[:8], alpha9)
     l2m = result.l2_image.mask
     disj = all((pl.mask & l2m) == 1 for pl in code.planes[:8])
     return HKKPatternReport(
@@ -546,4 +546,4 @@ def cps_build(
 def cps_regulus_check(code: DoublingCode) -> bool:
     """Do the duals of the 3 non-orbit planes (stored last), that is the
     last 3 lines of ``code.s2``, form a regulus?"""
-    return is_regulus(*code.s2.lines[6:])
+    return is_regulus(code.s2.line_ids[6:])

@@ -14,7 +14,7 @@ from importlib import resources
 
 from .spreadfile import parse_spread_text
 
-__all__ = ["pair", "pairs", "EXPECTED"]
+__all__ = ["pair", "EXPECTED"]
 
 N_PAIRS = 5
 
@@ -42,7 +42,3 @@ def pair(n: int) -> tuple:
     if len(spreads) != 2:
         raise RuntimeError(f"corpus pair {n} must hold exactly 2 spreads")
     return spreads[0], spreads[1]
-
-
-def pairs():
-    return [pair(n) for n in range(1, N_PAIRS + 1)]

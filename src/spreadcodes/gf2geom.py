@@ -20,7 +20,6 @@ from functools import lru_cache
 
 __all__ = [
     "Subspace",
-    "span",
     "meet",
     "join",
     "dual",
@@ -34,14 +33,8 @@ __all__ = [
     "rref",
     "rank",
     "span_mask",
-    "dot",
     "gaussian_binomial",
 ]
-
-
-def dot(a: int, b: int) -> int:
-    """Standard dot product of two GF(2) vectors, reduced mod 2."""
-    return (a & b).bit_count() & 1
 
 
 def rref(vectors) -> tuple:
@@ -162,11 +155,6 @@ def _check_ambient(u: Subspace, v: Subspace):
         raise ValueError(f"mixed ambient dimensions {u.n} and {v.n}")
 
 
-def span(points, n: int) -> Subspace:
-    """Smallest subspace of GF(2)^n containing all the given vectors."""
-    return Subspace(points, n)
-
-
 def meet(u: Subspace, v: Subspace) -> Subspace:
     """Intersection of two subspaces."""
     _check_ambient(u, v)
@@ -225,12 +213,12 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     return u.dim + v.dim - 2 * dim_meet
 
 
-def gaussian_binomial(n: int, k: int, q: int = 2) -> int:
-    """Number of k-dimensional subspaces of an n-dimensional space over GF(q)."""
+def gaussian_binomial(n: int, k: int) -> int:
+    """Number of k-dimensional subspaces of GF(2)^n."""
     num = den = 1
     for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
+        num *= 2 ** (n - i) - 1
+        den *= 2 ** (k - i) - 1
     return num // den
 
 

@@ -26,7 +26,7 @@ import hashlib
 import itertools
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .gf2geom import Subspace, _bits
+from .gf2geom import _bits
 from .pg42 import N_LINES, tables
 
 if TYPE_CHECKING:
@@ -53,11 +53,6 @@ class SpreadError(ValueError):
     """Input does not satisfy the spread axioms."""
 
 
-def _check_count(lines) -> None:
-    if len(lines) != 9:
-        raise SpreadError(f"expected 9 lines, got {len(lines)}")
-
-
 class SpreadAnomaly(RuntimeError):
     """A structural fact that should hold for every spread failed.
 
@@ -67,7 +62,8 @@ class SpreadAnomaly(RuntimeError):
 
 
 class Spread:
-    """An ordered list of 9 pairwise-disjoint lines of PG(4,2).
+    """An ordered list of 9 pairwise-disjoint lines of PG(4,2), built from
+    their ids by ``from_line_ids``.
 
     The stored order is preserved (examples are referenced by position);
     identity is order-independent via the sorted canonical line IDs.
@@ -80,11 +76,6 @@ class Spread:
 
     __slots__ = ("lines", "line_ids", "line_bits", "perp_bits", "hole_mask", "_type")
 
-    def __init__(self, lines: Sequence[Subspace]):
-        lines = tuple(lines)
-        _check_count(lines)
-        self._set_ids(_line_ids(lines))
-
     def __setattr__(self, *a):
         raise AttributeError("Spread is immutable")
 
@@ -93,7 +84,8 @@ class Spread:
         # indexed like tables().lines: a negative id counts from the end,
         # one out of range raises IndexError
         ids = [range(N_LINES)[i] for i in ids]
-        _check_count(ids)
+        if len(ids) != 9:
+            raise SpreadError(f"expected 9 lines, got {len(ids)}")
         s = cls.__new__(cls)
         s._set_ids(ids)
         return s
@@ -169,20 +161,12 @@ def holes(s: Spread) -> tuple:
     return out
 
 
-def _line_ids(lines) -> list:
-    """Ids of lines of PG(4,2); SpreadError, a ValueError, for anything else."""
-    line_id = tables().line_id
-    for l in lines:
-        if l.n != 5 or l.dim != 2:
-            raise SpreadError(f"not a line of PG(4,2): {l!r}")
-    return [line_id[l.mask] for l in lines]
-
-
-def is_regulus(l1: Subspace, l2: Subspace, l3: Subspace) -> bool:
-    """True iff the three lines are pairwise disjoint and span a solid."""
-    ids = _line_ids((l1, l2, l3))
+def is_regulus(ids: Sequence[int]) -> bool:
+    """True iff the three lines with these ids are pairwise disjoint and lie
+    in one solid (their ``line_solids`` masks share a bit)."""
     ls = tables().line_solids
-    return _disjoint(ids) and _regulus_solids([ls[i] for i in ids])[1] != 0
+    a, b, c = ids
+    return _disjoint(ids) and (ls[a] & ls[b] & ls[c]) != 0
 
 
 def _regulus_solids(masks):
@@ -304,40 +288,37 @@ def _clique_extend(adj, cur, cand):
         cur.pop()
 
 
-def verify_regulus_free_extension(lines8: Sequence[Subspace], plane: Subspace) -> bool:
+def verify_regulus_free_extension(ids8: Sequence[int], plane: int) -> bool:
     """Check the two halves of the partition-extension property.
 
-    Preconditions: 8 pairwise-disjoint lines whose union, together with the
-    plane, partitions the 31 points.  Returns True iff the 8 lines contain
-    no regulus and *every* line of the plane extends them to a type-X
-    spread.
+    Preconditions: 8 pairwise-disjoint lines (ids in ``tables().lines``)
+    whose union, together with the plane (an id in ``tables().planes``),
+    partitions the 31 points.  Returns True iff the 8 lines contain no
+    regulus and *every* line of the plane extends them to a type-X spread.
 
     With no regulus in the 8 lines, each regulus of the 8 plus a line k is k
     and two of the 8 in a solid: k is the common line (type X) iff it lies in
     4 solids holding two of the 8 (``twos``); as every spread has 4 reguli,
     any other count raises SpreadAnomaly.
     """
-    lines8 = tuple(lines8)
-    if len(lines8) != 8:
+    if len(ids8) != 8:
         raise ValueError("need exactly 8 lines")
-    if plane.n != 5 or plane.dim != 3:
-        raise ValueError("need a plane of PG(4,2)")
-    ids = _line_ids(lines8)
-    if not _disjoint(ids):
+    if not _disjoint(ids8):
         raise SpreadError("the 8 lines are not pairwise disjoint")
+    t = tables()
+    plane_mask = t.planes[plane].mask
     cover = 1
-    for l in lines8:
-        if (l.mask & plane.mask) != 1:
+    for i in ids8:
+        if (t.lines[i].mask & plane_mask) != 1:
             raise SpreadError("a line meets the plane; not a partition")
-        cover |= l.mask
-    if (cover | plane.mask) != (1 << 32) - 1:
+        cover |= t.lines[i].mask
+    if (cover | plane_mask) != (1 << 32) - 1:
         raise SpreadError("lines and plane do not partition the point set")
 
-    t = tables()
-    twos, three = _regulus_solids([t.line_solids[i] for i in ids])
+    twos, three = _regulus_solids([t.line_solids[i] for i in ids8])
     if three:
         return False
-    for k in _bits(t.plane_lines[t.plane_id[plane.mask]]):
+    for k in _bits(t.plane_lines[plane]):
         n = (twos & t.line_solids[k]).bit_count()
         if n != 4:
             raise SpreadAnomaly(f"line {k} is on {n} reguli with the 8 lines, not 4")

@@ -5,7 +5,7 @@ import pytest
 
 from spreadcodes import corpus
 from spreadcodes.constructions import cps_orbits
-from spreadcodes.gf2geom import dual, enumerate_subspaces, format_point
+from spreadcodes.gf2geom import format_point
 from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import Spread, classify, is_regulus
 
@@ -14,6 +14,12 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: exhaustive enumerations taking minutes"
     )
+
+
+def dot(a: int, b: int) -> int:
+    """Standard dot product of two GF(2) vectors: the parity of the bits
+    they share."""
+    return (a & b).bit_count() & 1
 
 
 def format_spread(s: Spread) -> str:
@@ -31,7 +37,7 @@ def format_spreads(spreads) -> str:
 
 @pytest.fixture(scope="session")
 def reference_pairs():
-    return corpus.pairs()
+    return [corpus.pair(n) for n in range(1, corpus.N_PAIRS + 1)]
 
 
 def _sample_spreads(count: int, seed: int) -> list:
@@ -68,40 +74,37 @@ def bulk():
     return classify_all()
 
 
-def _completions(six_lines) -> dict:
-    """Every 9-line spread containing the 6 given pairwise-disjoint lines.
+def _completions(six_ids) -> dict:
+    """Every 9-line spread containing the 6 pairwise-disjoint lines with
+    these ids.
 
     Maps the spread's key to ``(regulus, tag)``: whether the 3 added lines
     form a regulus, and the spread's type.
     """
+    lines = tables().lines
     cand = [
-        l
-        for l in enumerate_subspaces(5, 2)
-        if all((l.mask & x.mask) == 1 for x in six_lines)
+        i
+        for i, l in enumerate(lines)
+        if all((l.mask & lines[x].mask) == 1 for x in six_ids)
     ]
     out = {}
     for t in itertools.combinations(cand, 3):
-        if all((a.mask & b.mask) == 1 for a, b in itertools.combinations(t, 2)):
-            s = Spread(tuple(six_lines) + t)
-            out[s.key] = (is_regulus(*t), classify(s).tag)
+        a, b, c = (lines[i].mask for i in t)
+        if (a & b) == (a & c) == (b & c) == 1:
+            s = Spread.from_line_ids(six_ids + t)
+            out[s.key] = (is_regulus(t), classify(s).tag)
     return out
 
 
 @pytest.fixture(scope="session")
 def cps_good_orbits():
     """Good line orbits of the CPS group (side ``"line"``) and the duals of
-    its good plane orbits (side ``"plane"``), 6 disjoint lines each."""
+    its good plane orbits (side ``"plane"``), as the ids of 6 disjoint lines
+    each: a plane's id is its dual line's."""
     orbits = cps_orbits()
-    t = tables()
     return {
-        "line": [
-            tuple(t.lines[i] for i in orbits.line_orbits[k])
-            for k in orbits.good_line_orbits
-        ],
-        "plane": [
-            tuple(dual(t.planes[i]) for i in orbits.plane_orbits[k])
-            for k in orbits.good_plane_orbits
-        ],
+        "line": [tuple(orbits.line_orbits[k]) for k in orbits.good_line_orbits],
+        "plane": [tuple(orbits.plane_orbits[k]) for k in orbits.good_plane_orbits],
     }
 
 

@@ -42,7 +42,6 @@ from spreadcodes.gf2geom import (
     join,
     meet,
     rref,
-    span,
     subspace_distance,
 )
 from spreadcodes.pg42 import N_LINES, tables

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -127,6 +129,23 @@ class TestExitCodes:
         assert err.startswith("error: [Errno ") and err.endswith(f"{str(tmp_path)!r}\n")
         assert ".tmp-" not in err
         assert list(tmp_path.iterdir()) == []  # the temporary file is gone
+
+    @pytest.mark.parametrize("suffix", ["", ".summary.json", ".manifest.json"])
+    def test_out_onto_a_fifo_writes_nothing(self, tmp_path, db_file, capsys, suffix):
+        """A path ``census --out`` would write that is a FIFO, be it the
+        output, its summary or its manifest, is refused before anything is
+        written: it stays a FIFO and no file appears beside it."""
+        out = tmp_path / "out" / "census.csv"
+        out.parent.mkdir()
+        fifo = str(out) + suffix
+        os.mkfifo(fifo)
+        assert cli.main(["census", "--db", str(db_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: [Errno {errno.EEXIST}] exists and is not a regular file: {fifo!r}\n"
+        )
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(out.parent) == [os.path.basename(fifo)]
 
 
 class TestOptions:

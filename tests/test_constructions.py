@@ -546,7 +546,7 @@ class TestCPSCompletionCertificate:
         # same number of reguli inside the orbit ...
         for o in cps_good_orbits["line"] + cps_good_orbits["plane"]:
             inner = [
-                sum(x in t and is_regulus(*t) for t in itertools.combinations(o, 3))
+                sum(x in t and is_regulus(t) for t in itertools.combinations(o, 3))
                 for x in o
             ]
             assert len(set(inner)) == 1

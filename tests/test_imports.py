@@ -14,7 +14,8 @@ import pytest
 
 import spreadcodes
 
-SOURCES = sorted(Path(spreadcodes.__file__).parent.glob("*.py"))
+PACKAGE = Path(spreadcodes.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
@@ -65,9 +66,33 @@ READERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
 READERS += [ROOT / "tests" / "test_acceptance.py"]
 
 
-def _reads(tree, own=()) -> set:
-    """Names that ``tree`` reads as a name or an attribute, leaving out a
-    read inside the top-level definition of that name among ``own``."""
+def _imported(tree, package: bool) -> set:
+    """Names that ``tree`` binds by an import from ``spreadcodes``: absolute,
+    or relative where ``package`` (a module of the package itself)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "spreadcodes":
+                    out.add(a.asname or "spreadcodes")
+        elif isinstance(node, ast.ImportFrom):
+            ours = package if node.level else node.module.split(".")[0] == "spreadcodes"
+            if ours:
+                out.update(a.asname or a.name for a in node.names)
+    return out
+
+
+def _root(node):
+    """The name an attribute chain such as ``a.b.c`` starts from, or None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _reads(tree, bound, own=()) -> set:
+    """Names that ``tree`` reads as one of the names ``bound``, or as an
+    attribute of one, leaving out a read inside the top-level definition of
+    that name among ``own``."""
     spans = {
         node.name: (node.lineno, node.end_lineno)
         for node in tree.body
@@ -77,7 +102,9 @@ def _reads(tree, own=()) -> set:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             name = node.id
-        elif isinstance(node, ast.Attribute):
+            if name not in bound:
+                continue
+        elif isinstance(node, ast.Attribute) and _root(node.value) in bound:
             name = node.attr
         else:
             continue
@@ -89,28 +116,50 @@ def _reads(tree, own=()) -> set:
 
 def _unread_exports(module: str, others) -> list:
     """Names in the ``__all__`` of ``module`` (source text) that neither it,
-    outside their own definitions, nor any of ``others`` reads."""
+    outside their own definitions, nor any of ``others`` reads.  ``others``
+    are ``(source text, package)`` pairs: a reader counts a name only where
+    it binds that name, or a module holding it, by an import from
+    ``spreadcodes`` (see `_imported`), so a name of its own, or an attribute
+    of an object of its own, that happens to match does not count."""
     tree = ast.parse(module)
     exported = _exports(tree)
-    read = _reads(tree, exported).union(*(_reads(ast.parse(o)) for o in others))
+    read = _reads(tree, set(exported), exported)
+    for text, package in others:
+        other = ast.parse(text)
+        read |= _reads(other, _imported(other, package))
     return sorted(set(exported) - read)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_export_is_read_by_the_program(path):
-    others = [p.read_text(encoding="utf-8") for p in READERS if p != path]
+    others = [
+        (p.read_text(encoding="utf-8"), p.parent == PACKAGE)
+        for p in READERS
+        if p != path
+    ]
     assert _unread_exports(path.read_text(encoding="utf-8"), others) == []
 
 
 def test_detects_an_export_only_tests_read():
     src = (
-        "__all__ = ['used', 'twin', 'rec', 'Rec']\n"
+        "__all__ = ['used', 'twin', 'rec', 'Rec', 'span', 'dot']\n"
         "def used(): pass\n"
         "def twin(): return used()\n"
         "def rec(n): return rec(n - 1)\n"
         "class Rec: pass\n"
+        "def span(): pass\n"
+        "def dot(): pass\n"
     )
-    assert _unread_exports(src, ["import m\nm.Rec()\n"]) == ["rec", "twin"]
+    readers = [
+        ("from spreadcodes import m\nm.Rec()\n", False),
+        # a name of the reader's own, and an attribute of its own object
+        ("def span(): pass\nspan()\ntracer.span()\n", False),
+        # a relative import reads the package only inside the package
+        ("from .m import dot\ndot()\n", False),
+    ]
+    assert _unread_exports(src, readers) == ["dot", "rec", "span", "twin"]
+    readers[2] = (readers[2][0], True)
+    assert _unread_exports(src, readers) == ["rec", "span", "twin"]
 
 
 def _dataclass_imports(source: str) -> list:

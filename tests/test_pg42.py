@@ -2,7 +2,8 @@
 
 from spreadcodes import doubling
 from spreadcodes.constructions import cps_group
-from spreadcodes.gf2geom import Subspace, act_vector, dot, enumerate_subspaces, rref
+from conftest import dot
+from spreadcodes.gf2geom import Subspace, act_vector, enumerate_subspaces, rref
 from spreadcodes.pg42 import N_LINES, tables
 
 

@@ -4,17 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import dot
 from spreadcodes.constructions import hkk_build
-from spreadcodes.gf2geom import (
-    Subspace,
-    dot,
-    dual,
-    enumerate_subspaces,
-    join,
-    parse_point,
-    rank,
-    span,
-)
+from spreadcodes.gf2geom import Subspace, dual, join, parse_point, rank
 from spreadcodes import spreads
 from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import (
@@ -42,8 +34,9 @@ def from_planes(planes) -> Spread:
     return Spread.from_line_ids([tables().plane_id[p.mask] for p in planes])
 
 
-def _line(*toks):
-    return span([parse_point(t) for t in toks], 5)
+def _line(*toks) -> int:
+    """The id of the line through the points with these tokens."""
+    return tables().line_id[Subspace([parse_point(t) for t in toks], 5).mask]
 
 
 def _orthogonal(a, b) -> bool:
@@ -77,25 +70,24 @@ class TestSpreadBasics:
 
     def test_rejects_intersecting_lines(self, reference_pairs):
         s1, _ = reference_pairs[0]
-        bad = list(s1.lines)
+        bad = list(s1.line_ids)
         bad[8] = bad[0]
         with pytest.raises(SpreadError):
-            Spread(bad)
+            Spread.from_line_ids(bad)
 
     def test_rejects_wrong_count(self, reference_pairs):
         s1, _ = reference_pairs[0]
         with pytest.raises(SpreadError):
-            Spread(s1.lines[:8])
+            Spread.from_line_ids(s1.line_ids[:8])
 
     def test_from_line_ids_agrees_with_lines(self, reference_pairs, sample_spreads):
         spreads = [s for pair in reference_pairs for s in pair]
         spreads += sample_spreads(40, 5)
         lines = tables().lines
         for s in spreads:
-            a = Spread([Subspace(l.basis, 5) for l in s.lines])
-            b = Spread.from_line_ids(s.line_ids)
-            assert a.line_ids == b.line_ids == s.line_ids
-            assert a.lines == b.lines == tuple(lines[i] for i in s.line_ids)
+            a = Spread.from_line_ids(list(s.line_ids))
+            assert a.line_ids == s.line_ids
+            assert a.lines == tuple(lines[i] for i in s.line_ids)
             assert all(x is lines[i] for x, i in zip(a.lines, a.line_ids))
             # oracle: the lines orthogonal to a line of the spread, by dot
             in_dual = [
@@ -103,8 +95,8 @@ class TestSpreadBasics:
                 for k, x in enumerate(lines)
                 if any(_orthogonal(x, lines[i]) for i in s.line_ids)
             ]
-            assert a.line_bits == b.line_bits == sum(1 << i for i in s.line_ids)
-            assert a.perp_bits == b.perp_bits == sum(1 << k for k in in_dual)
+            assert a.line_bits == sum(1 << i for i in s.line_ids)
+            assert a.perp_bits == sum(1 << k for k in in_dual)
 
     def test_from_line_ids_indexes_like_the_line_table(self, reference_pairs):
         s1, _ = reference_pairs[0]
@@ -114,7 +106,7 @@ class TestSpreadBasics:
         with pytest.raises(IndexError):
             Spread.from_line_ids([N_LINES] + ids[1:])
 
-    def test_overlaps_raise_the_same_error_both_ways(self, reference_pairs):
+    def test_overlaps_name_the_first_intersecting_pair(self, reference_pairs):
         s1, s2 = reference_pairs[0]
         lines = tables().lines
         inputs = []
@@ -130,27 +122,26 @@ class TestSpreadBasics:
             inputs.append(ids)
         inputs += [s1.line_ids[:8], s1.line_ids + s2.line_ids[:1]]
         for ids in inputs:
-            with pytest.raises(SpreadError) as by_lines:
-                Spread([lines[i] for i in ids])
-            with pytest.raises(SpreadError) as by_ids:
+            with pytest.raises(SpreadError) as err:
                 Spread.from_line_ids(ids)
-            assert str(by_lines.value) == str(by_ids.value)
+            if len(ids) != 9:
+                assert str(err.value) == f"expected 9 lines, got {len(ids)}"
+                continue
             # the message names the first overlapping pair by rref bases
-            if len(ids) == 9:
-                a, b = next(
-                    (a, b)
-                    for a, b in itertools.combinations(range(9), 2)
-                    if (lines[ids[a]].mask & lines[ids[b]].mask) != 1
-                )
-                assert str(by_ids.value) == (
-                    f"lines {a + 1} and {b + 1} intersect: "
-                    f"{Subspace(lines[ids[a]].basis, 5)!r}, "
-                    f"{Subspace(lines[ids[b]].basis, 5)!r}"
-                )
+            a, b = next(
+                (a, b)
+                for a, b in itertools.combinations(range(9), 2)
+                if (lines[ids[a]].mask & lines[ids[b]].mask) != 1
+            )
+            assert str(err.value) == (
+                f"lines {a + 1} and {b + 1} intersect: "
+                f"{Subspace(lines[ids[a]].basis, 5)!r}, "
+                f"{Subspace(lines[ids[b]].basis, 5)!r}"
+            )
 
     def test_identity_order_independent(self, reference_pairs):
         s1, _ = reference_pairs[0]
-        reordered = Spread(s1.lines[::-1])
+        reordered = Spread.from_line_ids(s1.line_ids[::-1])
         assert reordered == s1
         assert reordered.id == s1.id
         assert reordered.key == s1.key
@@ -200,26 +191,27 @@ class TestDisjointnessGraph:
 class TestReguli:
     def test_is_regulus_examples(self, reference_pairs):
         s1, _ = reference_pairs[0]
-        i, j, k = reguli(s1)[0]
-        assert is_regulus(s1.lines[i], s1.lines[j], s1.lines[k])
+        assert is_regulus([s1.line_ids[i] for i in reguli(s1)[0]])
         # lines through a common point are not even disjoint
-        assert not is_regulus(_line("1", "2"), _line("1", "3"), _line("1", "4"))
+        assert not is_regulus([_line("1", "2"), _line("1", "3"), _line("1", "4")])
+        with pytest.raises(ValueError):  # a regulus has three lines
+            is_regulus(s1.line_ids[:4])
 
     def test_disjoint_triple_spanning_whole_space(self):
         # three pairwise-disjoint lines whose join is all of PG(4,2) do not
         # form a regulus
         lines = tables().lines
         l1 = lines[0]
-        l2 = next(l for l in lines if (l.mask & l1.mask) == 1)
-        solid = join(l1, l2)
-        l3 = next(
-            l
-            for l in lines
+        j = next(j for j, l in enumerate(lines) if (l.mask & l1.mask) == 1)
+        solid = join(l1, lines[j])
+        k = next(
+            k
+            for k, l in enumerate(lines)
             if (l.mask & l1.mask) == 1
-            and (l.mask & l2.mask) == 1
+            and (l.mask & lines[j].mask) == 1
             and (l.mask & ~solid.mask) != 0
         )
-        assert not is_regulus(l1, l2, l3)
+        assert not is_regulus([0, j, k])
 
     def test_reference_regulus_triples(self, reference_pairs):
         s1, _ = reference_pairs[0]
@@ -368,7 +360,7 @@ class TestDualSpread:
             planes = tuple(dual(l) for l in s.lines)
             assert dual_spread(s) == planes
             back = from_planes(planes)
-            assert back.lines == Spread([dual(p) for p in planes]).lines == s.lines
+            assert back.lines == tuple(dual(p) for p in planes) == s.lines
 
     def test_non_spreads_of_planes_rejected(self, reference_pairs):
         s1, _ = reference_pairs[0]
@@ -378,39 +370,38 @@ class TestDualSpread:
         bad = {
             "repeated plane": planes[:8] + [planes[0]],
             "planes meeting in a line": planes[:8] + [Subspace((a, b, v), 5)],
-            "line as a plane": planes[:8] + [s1.lines[8]],
-            "plane of ambient 6": planes[:8] + [Subspace(planes[8].basis, 6)],
         }
         for ps in bad.values():
-            with pytest.raises(SpreadError):  # by the per-plane dual
-                Spread([dual(p) for p in ps])
-            if all(p.n == 5 and p.dim == 3 for p in ps):  # and by plane id
-                with pytest.raises(SpreadError):
-                    from_planes(ps)
+            with pytest.raises(SpreadError):
+                from_planes(ps)
 
 
-def classify_per_line_oracle(lines8, plane) -> bool:
+def classify_per_line_oracle(ids8, plane) -> bool:
     """Oracle for ``verify_regulus_free_extension`` past its input checks,
     the formulation it replaced: no 3 of the 8 lines form a regulus, and
     ``classify`` types each spread of the 8 lines plus a line of the plane
-    as X."""
-    if any(is_regulus(*t) for t in itertools.combinations(lines8, 3)):
+    as X.  Line and plane ids as ``tables()`` numbers them."""
+    if any(is_regulus(t) for t in itertools.combinations(ids8, 3)):
         return False
+    t = tables()
     return all(
-        classify(Spread(tuple(lines8) + (l,))).tag == "X"
-        for l in enumerate_subspaces(5, 2)
-        if l <= plane
+        classify(Spread.from_line_ids([*ids8, k])).tag == "X"
+        for k, l in enumerate(t.lines)
+        if l <= t.planes[plane]
     )
 
 
 def _minus_line(s, i):
-    """The 8 lines of ``s`` other than line i, and the span of the 7 points
-    they leave uncovered (a plane iff they and it partition the points)."""
-    rest = [l for j, l in enumerate(s.lines) if j != i]
+    """The ids of the 8 lines of ``s`` other than line i, and the id of the
+    plane of the 7 points they leave uncovered, None if those points span
+    more than a plane (they and the 8 lines partition the points iff they
+    are a plane)."""
+    rest = [k for j, k in enumerate(s.line_ids) if j != i]
     cover = 1
-    for l in rest:
-        cover |= l.mask
-    return rest, span([v for v in range(1, 32) if not cover >> v & 1], 5)
+    for k in rest:
+        cover |= tables().lines[k].mask
+    comp = Subspace([v for v in range(1, 32) if not cover >> v & 1], 5)
+    return rest, tables().plane_id[comp.mask] if comp.dim == 3 else None
 
 
 class TestRegulusFreeExtension:
@@ -418,20 +409,14 @@ class TestRegulusFreeExtension:
         # for a type-X spread, the 7 points not covered by the 8 non-common
         # lines form a plane and every line of it extends back to type X
         s1, _ = reference_pairs[0]
-        st = classify(s1)
-        rest = [s1.lines[i] for i in range(9) if i != st.distinguished]
-        cover = 1
-        for l in rest:
-            cover |= l.mask
-        comp = [v for v in range(1, 32) if not cover >> v & 1]
-        plane = span(comp, 5)
-        assert plane.dim == 3
+        rest, plane = _minus_line(s1, classify(s1).distinguished)
+        assert plane is not None
         assert verify_regulus_free_extension(rest, plane)
 
     def test_non_partition_rejected(self, reference_pairs):
         s1, _ = reference_pairs[0]
-        with pytest.raises(SpreadError):
-            verify_regulus_free_extension(s1.lines[:8], dual_spread(s1)[0])
+        with pytest.raises(SpreadError):  # the dual plane of line 1 meets it
+            verify_regulus_free_extension(s1.line_ids[:8], s1.line_ids[0])
 
     def test_agrees_with_classify_oracle_on_hkk_codes(self):
         """The (8 lines, α9) input of every first-fit HKK code, α9 the join
@@ -441,12 +426,12 @@ class TestRegulusFreeExtension:
             s1 = res.code.s1
             st = classify(s1)
             assert st.distinguished == 8
-            alpha9 = join(s1.lines[8], span(holes(s1), 5))
-            inputs[s1.key] = (s1.lines[:8], alpha9)
+            alpha9 = join(s1.lines[8], Subspace(holes(s1), 5))
+            inputs[s1.key] = (s1.line_ids[:8], tables().plane_id[alpha9.mask])
         assert len(inputs) > 1
-        for lines8, alpha9 in inputs.values():
-            assert verify_regulus_free_extension(lines8, alpha9)
-            assert classify_per_line_oracle(lines8, alpha9)
+        for ids8, alpha9 in inputs.values():
+            assert verify_regulus_free_extension(ids8, alpha9)
+            assert classify_per_line_oracle(ids8, alpha9)
 
     def test_agrees_with_classify_oracle_on_corpus_x_spreads(self, reference_pairs):
         spreads = {s for pair in reference_pairs for s in pair}
@@ -455,7 +440,7 @@ class TestRegulusFreeExtension:
         assert xs
         for s, st in xs:
             rest, plane = _minus_line(s, st.distinguished)
-            assert plane.dim == 3
+            assert plane is not None
             assert verify_regulus_free_extension(rest, plane)
             assert classify_per_line_oracle(rest, plane)
 
@@ -470,7 +455,7 @@ class TestRegulusFreeExtension:
             st = classify(s)
             for i in range(9):
                 rest, plane = _minus_line(s, i)
-                if plane.dim != 3:
+                if plane is None:
                     continue
                 found += 1
                 assert (st.tag, st.distinguished) == ("X", i)
@@ -481,7 +466,7 @@ class TestRegulusFreeExtension:
     def test_wrong_arity_rejected(self, reference_pairs):
         s1, _ = reference_pairs[0]
         with pytest.raises(ValueError):
-            verify_regulus_free_extension(s1.lines, dual_spread(s1)[0])
+            verify_regulus_free_extension(s1.line_ids, s1.line_ids[0])
 
 
 class TestClassifyAll:
