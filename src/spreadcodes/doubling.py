@@ -9,11 +9,8 @@ lines meet B, sorted descending, plus whether B meets the common line and
 how many holes of S1 it contains.
 
 The exhaustive census histograms the patterns of all 9 planes of every
-ordered optimal pair of type-X spreads.  It counts by symmetry: the
-type-X spreads form one GL(5,2) orbit, certified at run time, and a
-collineation carries the optimal partners of S1 onto those of its image
-with every plane's pattern kept, so the census is the histogram of one
-representative S1 times the number of type-X spreads.
+ordered optimal pair of type-X spreads, by symmetry over the one orbit of
+type-X spreads among the GL(5,2) orbits of `spread_orbits`.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import (
 
 from .gf2geom import Subspace
 from .pg42 import N_LINES, tables
-from .spreads import Spread, SpreadAnomaly, classify, classify_cliques, dual_spread
+from .spreads import Spread, SpreadAnomaly, _clique_extend, classify, dual_spread
 
 __all__ = [
     "DoublingCode",
@@ -44,6 +41,7 @@ __all__ = [
     "pattern_census",
     "optimal_pairs",
     "exhaustive_xx_census",
+    "spread_orbits",
     "ALLOWED_PATTERNS",
     "NINTH_PLANE_PATTERNS",
     "ELIMINATED_PATTERN",
@@ -268,6 +266,7 @@ _GENERATORS = (
     (2, 4, 8, 16, 1),  # cyclic coordinate shift e_i -> e_{i+1}
     (3, 2, 4, 8, 16),  # transvection e1 -> e1 + e2
 )
+_GL_ORDER = (32 - 1) * (32 - 2) * (32 - 4) * (32 - 8) * (32 - 16)  # |GL(5,2)|
 
 
 def _line_permutations() -> tuple:
@@ -277,58 +276,76 @@ def _line_permutations() -> tuple:
     return tuple(tuple(t.image(l, g) for l in t.lines) for g in _GENERATORS)
 
 
-def _orbit(start, images) -> set:
-    """The orbit of ``start``, by a breadth-first search: ``images(x)``
-    yields the images of x under the generators."""
-    seen, frontier = {start}, {start}
-    while frontier:
-        frontier = {y for x in frontier for y in images(x)} - seen
-        seen |= frontier
-    return seen
+def _span(points) -> list:
+    """Entry m is the sum of the points at the set bits of m."""
+    return functools.reduce(lambda out, p: out + [x ^ p for x in out], points, [0])
+
+
+def _collineations(s: Spread, t: Spread) -> Iterator[tuple]:
+    """Every g in GL(5,2) with g(s) = t, as its 32 point images g[x]; as an
+    int-row matrix, g is (g[1], g[2], g[4], g[8], g[16]).  A backtrack
+    search over images of a basis (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005): two points on each of lines a, b of
+    s go to two points on each of two lines of t, which fixes g(z) for the
+    point z where a line c of s meets the solid <a, b>; a point p of c off
+    it goes to the line of t through g(z).  A g is kept iff it sends the
+    other six lines of s into t; it is then invertible, as a g of rank 4
+    would send a, b and those six onto 8 lines of t in one solid, which
+    holds at most 3 lines of a spread.
+    """
+    a, b, *rest = [l.points() for l in s.lines]
+    solid = _span(a[:2] + b[:2])
+    c = next(c for c in rest if not set(c) <= set(solid))
+    z, p, _ = sorted(c, key=lambda x: x not in solid)
+    basis = solid + [x ^ p for x in solid]
+    coord = sorted(range(32), key=basis.__getitem__)  # basis[coord[x]] == x
+    checks = [(coord[l[0]], coord[l[1]]) for l in rest if l is not c]
+    # the index of each point's line in t, or a mark of its own off those lines
+    tl = [l.points() for l in t.lines]
+    label = [next((k for k, l in enumerate(tl) if x in l), 9 + x) for x in range(32)]
+    pairs = [list(itertools.permutations(l, 2)) for l in tl]
+    for ka, kb in itertools.permutations(range(9), 2):
+        for q in itertools.product(pairs[ka], pairs[kb]):
+            image = _span(q[0] + q[1])
+            kc = label[image[coord[z]]]
+            for q5 in tl[kc] if kc < 9 else ():
+                g = image + [x ^ q5 for x in image]
+                if all(label[g[i]] == label[g[j]] for i, j in checks):
+                    yield tuple([g[m] for m in coord])
 
 
 @functools.cache
-def _xx_context() -> Tuple[Spread, int]:
-    """(type-X spread #0, number of type-X spreads N_X), once the type-X
-    spreads are certified to be one orbit of the generated group.
-
-    Three certificates, each a SpreadAnomaly when it fails:
-
-    1. The generators are transitive on the 155 lines: the orbit of line 0
-       under their line permutations is every line.
-    2. Collineations keep spread types, so by (1) every line lies on as many
-       type-X spreads as line 0 does, N_X(line 0); counting the pairs
-       (line, type-X spread through it) twice, 155 N_X(line 0) = 9 N_X.
-       N_X(line 0) comes from classifying every spread through line 0.
-    3. Spread #0, the first type-X spread through line 0 in lexicographic
-       order, has an orbit of N_X members.  Its orbit holds type-X spreads
-       only, so it is all of them.
-    """
-    perms = _line_permutations()
-    lines = len(_orbit(0, lambda i: (p[i] for p in perms)))
-    if lines != N_LINES:
+def spread_orbits() -> tuple:
+    """The GL(5,2) orbits of spreads as (representative, |Stab|) pairs: the
+    first spreads through line 0, in lexicographic order, not isomorphic to
+    an earlier one of the same type.  Orbit-stabilizer (Kaski and
+    Östergård, *Classification Algorithms for Codes and Designs*, 2006),
+    certified at run time or a SpreadAnomaly: the generators carry line 0
+    onto all 155 lines, so there are N = 155 N(line 0) / 9 spreads, and the
+    orbits, of |GL(5,2)| / |Stab| spreads each, add up to N (collineations
+    keep types, so no two representatives share an orbit)."""
+    perms, seen = _line_permutations(), {0}
+    while new := {p[i] for i in seen for p in perms} - seen:
+        seen |= new
+    if len(seen) != N_LINES:
+        raise SpreadAnomaly(f"the generators carry line 0 onto {len(seen)} lines")
+    adj = tables().adjacency
+    through0 = sum(1 for _ in _clique_extend(adj, [0], adj[0]))
+    orbits, found = [], 0
+    for row in _clique_extend(adj, [0], adj[0]):
+        s = Spread.from_line_ids(row)
+        same = [r for r, _ in orbits if classify(r).tag == classify(s).tag]
+        if not any(next(_collineations(r, s), 0) for r in same):
+            orbits.append((s, sum(1 for _ in _collineations(s, s))))
+            found += _GL_ORDER // orbits[-1][1]
+            if 9 * found >= N_LINES * through0:
+                break
+    if 9 * found != N_LINES * through0 or any(_GL_ORDER % k for _, k in orbits):
         raise SpreadAnomaly(
-            f"the GL(5,2) generators carry line 0 onto {lines} of {N_LINES} lines"
+            f"orbits with stabilizers of orders {[k for _, k in orbits]} hold "
+            f"{found} spreads, not {N_LINES} x {through0} / 9"
         )
-    through0 = classify_cliques((0,), tables().adjacency[0])
-    x_rows = through0.line_ids[through0.types == 0]
-    if N_LINES * len(x_rows) % 9:
-        raise SpreadAnomaly(
-            f"{N_LINES} x {len(x_rows)} type-X spreads through line 0 "
-            f"is not a multiple of 9"
-        )
-    n_x = N_LINES * len(x_rows) // 9
-    s1 = Spread.from_line_ids(x_rows[0])
-    # a spread's key is its sorted line ids
-    orbit = len(
-        _orbit(s1.key, lambda k: (tuple(sorted(p[i] for i in k)) for p in perms))
-    )
-    if orbit != n_x:
-        raise SpreadAnomaly(
-            f"the orbit of type-X spread #0 has {orbit} members, "
-            f"but there are {n_x} type-X spreads"
-        )
-    return s1, n_x
+    return tuple(orbits)
 
 
 def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
@@ -344,24 +361,26 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     kept too.  So S2 -> g^-T S2 is a pattern-keeping bijection from the
     partners of S1 (the type-X spreads with no line orthogonal to a line
     of S1) onto those of g S1, and all S1 in one orbit have the same
-    histogram.  `_xx_context` certifies that the type-X spreads are one
-    orbit of the generated group and counts them without enumerating
-    them, so the census of n first spreads is the histogram of type-X
-    spread #0 times n.
+    histogram.  `spread_orbits` gives the one orbit of type-X spreads and
+    its size without enumerating it, so the census of n first spreads is
+    the histogram of its representative times n.
 
     ``limit`` takes only the first ``limit`` type-X spreads as S1 (for
     smoke tests); by default all of them.
     """
-    s1, n_x = _xx_context()
+    xs = [(s, _GL_ORDER // k) for s, k in spread_orbits() if classify(s).tag == "X"]
+    if len(xs) != 1:
+        raise SpreadAnomaly(f"{len(xs)} orbits of type-X spreads, expected one")
+    ((s1, n_x),) = xs
     n = n_x if limit is None else max(0, min(limit, n_x))
     if not n:
         return PatternCensus({})
     # a line of S1 lies in the dual plane of line j iff line j lies in
     # the dual plane of that line (orthogonality is symmetric), so the
     # partners are the type-X spreads of lines outside ``s1.perp_bits``
-    bulk = classify_cliques((), (1 << N_LINES) - 1 & ~s1.perp_bits)
-    partners = bulk.line_ids[bulk.types == 0]
-    one = pattern_census((s1, Spread.from_line_ids(r)) for r in partners)
+    rows = _clique_extend(tables().adjacency, [], (1 << N_LINES) - 1 & ~s1.perp_bits)
+    partners = (s for s in map(Spread.from_line_ids, rows) if classify(s).tag == "X")
+    one = pattern_census((s1, s2) for s2 in partners)
     return PatternCensus(
         {key: c * n for key, c in one.histogram.items()}, one.pair_count * n, n
     )

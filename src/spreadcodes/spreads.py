@@ -14,9 +14,8 @@ separates spreads into three types:
 
 A regulus is three lines in one solid, read from ``tables().line_solids``.
 The module provides object-level operations on single spreads and a
-vectorized bulk pipeline over the full exhaustive enumeration, or over the
-spreads that extend given lines; only the bulk pipeline imports numpy,
-when called.
+vectorized bulk pipeline over the full exhaustive enumeration or any array
+of spreads; only the bulk pipeline imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "verify_regulus_free_extension",
     "all_spread_line_ids",
     "classify_all",
-    "classify_cliques",
     "BulkClassification",
 ]
 
@@ -76,6 +74,9 @@ class Spread:
 
     __slots__ = ("lines", "line_ids", "line_bits", "perp_bits", "hole_mask", "_type")
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Spread is built from its line ids by Spread.from_line_ids")
+
     def __setattr__(self, *a):
         raise AttributeError("Spread is immutable")
 
@@ -86,12 +87,6 @@ class Spread:
         ids = [range(N_LINES)[i] for i in ids]
         if len(ids) != 9:
             raise SpreadError(f"expected 9 lines, got {len(ids)}")
-        s = cls.__new__(cls)
-        s._set_ids(ids)
-        return s
-
-    def _set_ids(self, ids: list) -> None:
-        """Store the 9 ids once they are pairwise-disjoint lines."""
         t = tables()
         lines = tuple([t.lines[i] for i in ids])
         line_bits = perp_bits = 0
@@ -110,12 +105,14 @@ class Spread:
             raise SpreadError(
                 f"lines {a + 1} and {b + 1} intersect: {lines[a]!r}, {lines[b]!r}"
             )
-        object.__setattr__(self, "line_ids", tuple(ids))
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "line_bits", line_bits)
-        object.__setattr__(self, "perp_bits", perp_bits)
-        object.__setattr__(self, "hole_mask", ((1 << 32) - 1) & ~cover)
-        object.__setattr__(self, "_type", None)
+        s = cls.__new__(cls)
+        object.__setattr__(s, "line_ids", tuple(ids))
+        object.__setattr__(s, "lines", lines)
+        object.__setattr__(s, "line_bits", line_bits)
+        object.__setattr__(s, "perp_bits", perp_bits)
+        object.__setattr__(s, "hole_mask", ((1 << 32) - 1) & ~cover)
+        object.__setattr__(s, "_type", None)
+        return s
 
     @property
     def key(self) -> tuple:
@@ -328,24 +325,16 @@ def verify_regulus_free_extension(ids8: Sequence[int], plane: int) -> bool:
 # ---------------------------------------------------------------------------
 # bulk pipeline over the exhaustive enumeration
 
-def _clique_rows(cur: tuple, cand: int) -> np.ndarray:
-    """The 9-cliques extending ``cur`` (`_clique_extend`) as an (M, 9) int16
-    array, lexicographic, read without a list of row tuples."""
-    import numpy as np
-
-    rows = _clique_extend(tables().adjacency, list(cur), cand)
-    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int16)
-    return flat.reshape(-1, 9)
-
-
 @functools.cache
 def all_spread_line_ids() -> np.ndarray:
-    """Line-ID array of every size-9 spread, shape (M, 9), lexicographic.
+    """Line-ID array of every size-9 spread, shape (M, 9), lexicographic:
+    the 9-cliques of `_clique_extend`, read without a list of row tuples,
+    cached after the first call (the enumeration takes about a minute)."""
+    import numpy as np
 
-    Cached in memory after the first call (the enumeration takes about a
-    minute).
-    """
-    return _clique_rows((), (1 << N_LINES) - 1)
+    rows = _clique_extend(tables().adjacency, [], (1 << N_LINES) - 1)
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int16)
+    return flat.reshape(-1, 9)
 
 
 class BulkClassification(NamedTuple):
@@ -400,16 +389,6 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     triple = masks[counts == 2].reshape(-1, 3)
     types[np.flatnonzero(~is_x)[_regulus_solids(triple.T)[1] != 0]] = 1
     return BulkClassification(arr, n_reguli, counts, types, common_pos)
-
-
-@functools.cache
-def classify_cliques(cur: tuple, cand: int) -> BulkClassification:
-    """Classify every spread that extends the ascending line ids ``cur`` by
-    lines of the 155-bit set ``cand``, pairwise disjoint from ``cur`` and
-    above its last id, in lexicographic order (the order of
-    `all_spread_line_ids`).  Cached per (``cur``, ``cand``): callers share
-    the arrays and must not write to them."""
-    return classify_all(_clique_rows(cur, cand))
 
 
 @functools.cache

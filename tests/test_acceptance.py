@@ -33,6 +33,7 @@ from spreadcodes.doubling import (
     exhaustive_xx_census,
     intersection_pattern,
     min_distance,
+    spread_orbits,
     validate_doubling,
 )
 from spreadcodes.gf2geom import (
@@ -45,7 +46,7 @@ from spreadcodes.gf2geom import (
     subspace_distance,
 )
 from spreadcodes.pg42 import N_LINES, tables
-from spreadcodes.spreads import classify, classify_cliques
+from spreadcodes.spreads import _clique_extend, classify, classify_all
 
 
 def _verdict(cap, n: int, ok: bool, detail: str):
@@ -127,11 +128,22 @@ def test_criterion_3_exhaustive_spread_structure(bulk, capfd):
 
 
 def test_type_split_by_double_counting():
-    # criterion 3's type split without the full enumeration: the GL(5,2)
-    # generators are transitive on lines (``_xx_context`` certifies it) and
+    # criterion 3's numbers without the full enumeration: the orbits of
+    # ``spread_orbits`` hold |GL(5,2)| / |Stab| spreads each.  Oracle: the
+    # bulk classification of the spreads through line 0; the GL(5,2)
+    # generators are transitive on lines (``spread_orbits`` certifies it) and
     # keep types, so each line lies on N_T(line 0) spreads of type T, and
     # each spread holds 9 lines: 155 N_T(line 0) = 9 N_T
-    through0 = classify_cliques((0,), tables().adjacency[0]).type_counts()
+    sizes = {}
+    for s, stab in spread_orbits():
+        tag = classify(s).tag
+        sizes[tag] = sizes.get(tag, 0) + 9_999_360 // stab
+    assert sizes == FROZEN_TYPE_COUNTS
+    assert sum(sizes.values()) == FROZEN_SPREAD_COUNT
+    adj = tables().adjacency
+    rows = _clique_extend(adj, [0], adj[0])
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int16)
+    through0 = classify_all(flat.reshape(-1, 9)).type_counts()
     assert {tag: N_LINES * n for tag, n in through0.items()} == {
         tag: 9 * n for tag, n in FROZEN_TYPE_COUNTS.items()
     }

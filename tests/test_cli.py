@@ -558,19 +558,26 @@ class TestImports:
     )
 
     @staticmethod
-    def _loaded(db_file, modules) -> list:
-        """[step, exit code, which of ``modules`` are loaded] after ``import
-        spreadcodes`` and after each command, in one fresh interpreter."""
+    def _fresh(script, *args) -> str:
+        """The stdout of ``script`` run in a fresh interpreter."""
         src = os.path.dirname(os.path.dirname(spreadcodes.__file__))
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
-            [sys.executable, "-c", TestImports.SCRIPT, str(db_file)],
+            [sys.executable, "-c", script, *args],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
+        return proc.stdout
+
+    @staticmethod
+    def _loaded(db_file, modules) -> list:
+        """[step, exit code, which of ``modules`` are loaded] after ``import
+        spreadcodes`` and after each command, in one fresh interpreter."""
         return [
             [step, rc, [m for m in loaded if m in modules]]
-            for step, rc, loaded in json.loads(proc.stdout)
+            for step, rc, loaded in json.loads(
+                TestImports._fresh(TestImports.SCRIPT, str(db_file))
+            )
         ]
 
     def test_object_level_commands_load_no_numpy(self, db_file):
@@ -584,6 +591,22 @@ class TestImports:
             ["hkk", 0, ["spreadcodes.constructions"]],
             ["cps", 0, ["spreadcodes.constructions"]],
         ]
+
+    def test_exhaustive_census_loads_no_numpy(self):
+        """``census --exhaustive`` types every spread by ``classify``, so it
+        loads neither numpy nor ``dataclasses`` nor ``inspect``."""
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from spreadcodes import cli
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["census", "--exhaustive", "--limit", "1"])
+            watched = ("numpy", "dataclasses", "inspect")
+            print(rc, [m for m in watched if m in sys.modules])
+            """
+        )
+        assert self._fresh(script) == "0 []\n"
 
     def test_cold_start_loads_no_dataclasses(self, db_file):
         """Neither the package nor any command imports ``dataclasses`` or

@@ -23,13 +23,19 @@ from spreadcodes.doubling import (
     pattern_census,
     validate_doubling,
 )
-from spreadcodes.gf2geom import Subspace, dual, enumerate_subspaces, subspace_distance
+from spreadcodes.gf2geom import (
+    Subspace,
+    act_vector,
+    dual,
+    enumerate_subspaces,
+    subspace_distance,
+)
 from spreadcodes.pg42 import tables
 from spreadcodes.spreads import (
     Spread,
     SpreadAnomaly,
+    _clique_extend,
     classify,
-    classify_cliques,
     dual_spread,
     holes,
 )
@@ -309,6 +315,74 @@ class TestGL52Generators:
                     assert classify(image).tag == "X"
 
 
+def _random_collineation(rng) -> tuple:
+    """A seeded invertible int-row matrix: rows drawn until the matrix is a
+    bijection of the 32 vectors."""
+    while True:
+        m = tuple(rng.randrange(1, 32) for _ in range(5))
+        if len({act_vector(v, m) for v in range(32)}) == 32:
+            return m
+
+
+def _image(s, m, rng) -> Spread:
+    """The image of spread ``s`` under the matrix ``m``, its lines shuffled."""
+    ids = [tables().image(l, m) for l in s.lines]
+    rng.shuffle(ids)
+    return Spread.from_line_ids(ids)
+
+
+class TestCollineations:
+    """Oracles for ``doubling._collineations`` on the four orbit
+    representatives: no brute force over the 9,999,360 matrices."""
+
+    @pytest.fixture(scope="class")
+    def reps(self):
+        """(spread, |Stab|) at rows 0, 1, 4 and 6 of the spreads through
+        line 0, read off directly, so that the oracles below do not wait on
+        ``spread_orbits``."""
+        adj = tables().adjacency
+        rows = list(itertools.islice(_clique_extend(adj, [0], adj[0]), 7))
+        pinned = ((0, 24), (1, 6), (4, 6), (6, 6))
+        return [(Spread.from_line_ids(rows[i]), k) for i, k in pinned]
+
+    def test_spread_orbits_returns_the_representatives(self, reps):
+        tags = ("X", "IDelta", "E", "IDelta")
+        got = [(s.line_ids, classify(s).tag, k) for s, k in doubling.spread_orbits()]
+        assert got == [(s.line_ids, tag, k) for (s, k), tag in zip(reps, tags)]
+
+    def test_each_maps_s_onto_t_through_the_table_image(self, reps):
+        t = tables()
+        rng = random.Random(5)
+        for s, _ in reps:
+            for target in (s, _image(s, _random_collineation(rng), rng)):
+                found = list(doubling._collineations(s, target))
+                assert found
+                for g in found:
+                    m = (g[1], g[2], g[4], g[8], g[16])
+                    assert list(g) == [act_vector(x, m) for x in range(32)]
+                    assert {t.image(l, m) for l in s.lines} == set(target.line_ids)
+
+    def test_stabilizer_of_x_row_0_is_closed_under_composition(self, reps):
+        s = next(s for s, _ in reps if classify(s).tag == "X")
+        stab = set(doubling._collineations(s, s))
+        assert len(stab) == 24 and tuple(range(32)) in stab
+        assert {tuple(g[x] for x in h) for g in stab for h in stab} == stab
+
+    def test_count_onto_an_image_is_the_stabilizer_order(self, reps):
+        rng = random.Random(3)
+        for _ in range(3):
+            m = _random_collineation(rng)
+            for s, k in reps:
+                image = _image(s, m, rng)
+                onto = sum(1 for _ in doubling._collineations(s, image))
+                assert onto == sum(1 for _ in doubling._collineations(s, s)) == k
+
+    def test_the_two_idelta_representatives_are_not_isomorphic(self, reps):
+        a, b = [s for s, _ in reps if classify(s).tag == "IDelta"]
+        assert next(doubling._collineations(a, b), None) is None
+        assert next(doubling._collineations(b, a), None) is None
+
+
 class TestExhaustiveCensus:
     def test_limited_run_is_clean(self):
         census = exhaustive_xx_census(limit=2)
@@ -321,23 +395,31 @@ class TestExhaustiveCensus:
     def test_x_rows_of_the_enumeration_are_the_orbit_of_the_representative(
         self, bulk
     ):
-        # oracle for the certificates of ``_xx_context`` and for the
-        # partner lookup by restricted cliques: the type-X rows of the full
-        # enumeration, and their partners by a mask over those rows
-        s1, n_x = doubling._xx_context()
+        # oracle for the orbit certificate of ``spread_orbits`` and for the
+        # partner search by restricted cliques: the type-X rows of the full
+        # enumeration are the orbit of the representative by a breadth-first
+        # search over sorted line-id keys, and its partners are the rows with
+        # no line in ``s1.perp_bits``
+        ((s1, stab),) = [
+            (s, k) for s, k in doubling.spread_orbits() if classify(s).tag == "X"
+        ]
         x_rows = bulk.line_ids[bulk.types == 0]
-        assert len(x_rows) == n_x
+        assert len(x_rows) == 9_999_360 // stab
         assert Spread.from_line_ids(x_rows[0]) == s1
         perms = doubling._line_permutations()
-        orbit = doubling._orbit(
-            s1.key, lambda k: (tuple(sorted(p[i] for i in k)) for p in perms)
-        )
-        assert set(map(tuple, x_rows.tolist())) == orbit
+        seen, frontier = {s1.key}, {s1.key}
+        while frontier:
+            frontier = {
+                tuple(sorted(p[i] for i in k)) for k in frontier for p in perms
+            } - seen
+            seen |= frontier
+        assert set(map(tuple, x_rows.tolist())) == seen
         bits = s1.perp_bits
         forbidden = np.array([bits >> j & 1 for j in range(155)], dtype=bool)
         want = x_rows[~forbidden[x_rows].any(axis=1)]
-        got = classify_cliques((), (1 << 155) - 1 & ~bits)
-        assert np.array_equal(got.line_ids[got.types == 0], want)
+        one = pattern_census((s1, Spread.from_line_ids(r)) for r in want)
+        got = exhaustive_xx_census(limit=1)
+        assert (got.pair_count, got.histogram) == (len(want), one.histogram)
 
     def test_doubling_never_mentions_numpy(self):
         assert "numpy" not in Path(doubling.__file__).read_text(encoding="utf-8")
@@ -378,39 +460,41 @@ class TestExhaustiveCensus:
             assert got.histogram == want
 
     @pytest.mark.slow
-    def test_certificate_rejects_rows_that_are_not_one_orbit(
+    def test_certificate_rejects_wrong_types_and_stabilizers(
         self, monkeypatch, capsys
     ):
-        # one type-X spread through line 0 typed E: 155 times the count
-        # through line 0 is no multiple of 9; the E spreads typed X: the
-        # count is that of X and E together, which are two orbits
-        real = spreads.classify_all
+        # (a) the type-X representative typed E: no orbit is of type X;
+        # (b) the E spreads typed X: two orbits are; (c) every stabilizer one
+        # element short: the orbit sizes no longer add up to the double count
+        real_classify, real_search = doubling.classify, doubling._collineations
+        x_rep = next(
+            s for s, _ in doubling.spread_orbits() if classify(s).tag == "X"
+        )
 
-        def one_x_as_e(arr):
-            bulk = real(arr)
-            types = bulk.types.copy()
-            types[np.flatnonzero(types == 0)[:1]] = 1
-            return bulk._replace(types=types)
+        def x_rep_as_e(s):
+            got = real_classify(s)
+            return got._replace(tag="E") if s == x_rep else got
 
-        def e_as_x(arr):
-            bulk = real(arr)
-            return bulk._replace(types=np.where(bulk.types == 1, 0, bulk.types))
+        def e_as_x(s):
+            got = real_classify(s)
+            return got._replace(tag="X") if got.tag == "E" else got
 
-        def clear_caches():
-            # classify_cliques keeps the classification the context reads
-            doubling._xx_context.cache_clear()
-            spreads.classify_cliques.cache_clear()
+        def one_short(s, t):
+            found = real_search(s, t)
+            return itertools.islice(found, 1, None) if s is t else found
 
         try:
-            for fake, match in (
-                (one_x_as_e, "not a multiple of 9"),
-                (e_as_x, "orbit"),
+            for name, fake, match in (
+                ("classify", x_rep_as_e, "0 orbits of type-X spreads"),
+                ("classify", e_as_x, "2 orbits of type-X spreads"),
+                ("_collineations", one_short, "stabilizers of orders"),
             ):
-                monkeypatch.setattr(spreads, "classify_all", fake)
-                clear_caches()
+                monkeypatch.setattr(doubling, name, fake)
+                doubling.spread_orbits.cache_clear()
                 with pytest.raises(SpreadAnomaly, match=match):
                     exhaustive_xx_census(limit=1)
                 assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
                 assert "invariant violation" in capsys.readouterr().err
+                monkeypatch.undo()
         finally:
-            clear_caches()  # drop the faked classifications
+            doubling.spread_orbits.cache_clear()  # drop the faked orbits

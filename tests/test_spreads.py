@@ -98,6 +98,12 @@ class TestSpreadBasics:
             assert a.line_bits == sum(1 << i for i in s.line_ids)
             assert a.perp_bits == sum(1 << k for k in in_dual)
 
+    def test_constructor_names_from_line_ids(self, reference_pairs):
+        s1, _ = reference_pairs[0]
+        for args in ((), (s1.line_ids,)):
+            with pytest.raises(TypeError, match=r"Spread\.from_line_ids"):
+                Spread(*args)
+
     def test_from_line_ids_indexes_like_the_line_table(self, reference_pairs):
         s1, _ = reference_pairs[0]
         ids = list(s1.line_ids)
