@@ -22,16 +22,11 @@ import itertools
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .doubling import DoublingCode, intersection_pattern, validate_doubling
-from .gf2geom import (
-    Subspace,
-    _bits,
-    act_vector,
-    enumerate_subspaces,
-    rref_bases,
-)
+from .gf2geom import Subspace, _bits, enumerate_subspaces, rref_bases, span
 from .pg42 import N_LINES, tables
 from .spreads import (
     Spread,
+    SpreadAnomaly,
     SpreadError,
     _disjoint,
     _opposite_regulus_ids,
@@ -105,7 +100,7 @@ def build_lifted_gabidulin() -> LiftedGabidulinCode:
     """Construct the lifted (6,3,2) Gabidulin code, deterministic order.
 
     Message coefficients (a0, a1) run lexicographically over GF(8)^2.  The
-    rank-distance >= 2 property is asserted exhaustively on the lifts, as
+    rank-distance >= 2 property is checked exhaustively on the lifts, as
     d_S(lift A, lift B) = 2 d_R(A, B): every pair of codewords is ``_far``.
     """
     matrices = []
@@ -118,10 +113,10 @@ def build_lifted_gabidulin() -> LiftedGabidulinCode:
             codewords.append(Subspace(basis, 6))
     masks = [c.mask for c in codewords]
     if not all(_far(a, b) for a, b in itertools.combinations(masks, 2)):
-        raise AssertionError("rank distance below 2 in Gabidulin code")
+        raise SpreadAnomaly("rank distance below 2 in Gabidulin code")
     special = Subspace((8, 16, 32), 6)
     if any(m & special.mask != 1 for m in masks):
-        raise AssertionError("Gabidulin codeword meets the special plane")
+        raise SpreadAnomaly("Gabidulin codeword meets the special plane")
     return LiftedGabidulinCode(tuple(codewords), tuple(matrices), special)
 
 
@@ -129,20 +124,13 @@ def build_lifted_gabidulin() -> LiftedGabidulinCode:
 # point-hyperplane shortening
 
 
-def _h_coordinates(h: Subspace) -> dict:
-    """Vector-in-H -> its 5-bit coordinate vector w.r.t. H's RREF basis."""
-    coord = {0: 0}
-    for i, b in enumerate(h.basis):
-        coord.update({v ^ b: c | 1 << i for v, c in coord.items()})
-    return coord
-
-
 def _shorten_mask(xm: int, p: int, hm: int, coord: dict) -> Optional[int]:
     """The point mask after shortening of the subspace with point mask
     ``xm``, at the point ``p`` and the hyperplane with point mask ``hm``;
     None if it is dropped.  A subspace inside H stays whole, one through
     ``p`` is cut to its meet with H, and the image takes the coordinates
-    of ``coord`` (``_h_coordinates`` of H)."""
+    of ``coord``, which maps each vector of H to its coordinates in H's RREF
+    basis (``span`` of that basis, inverted)."""
     if xm & ~hm and not xm >> p & 1:
         return None
     out = 0
@@ -178,7 +166,7 @@ def _far_planes() -> tuple:
     """The 99 planes of PG(5,2) far from every Gabidulin codeword, in
     canonical-basis order (the order of ``enumerate_subspaces``).  The 64
     codewords pairwise share no line and none meets the special plane S
-    (``build_lifted_gabidulin`` asserts both), so their 448 lines are the
+    (``build_lifted_gabidulin`` checks both), so their 448 lines are the
     lines that miss S: a plane is far from them all iff it meets S in at
     least a line.  These are S and 14 planes through each line of S.  As
     S = <8, 16, 32>, the RREF rows with a pivot (lowest bit) below bit 3 span
@@ -261,7 +249,7 @@ def hkk_build(
             # the shortened Gabidulin part depends on (P, H) only, and mode
             # ``all`` gives all configurations of one (P, H) in a row
             ph = p, hm
-            coord = _h_coordinates(cfg.h)
+            coord = {v: c for c, v in enumerate(span(cfg.h.basis))}
             # a codeword through P becomes a line (4 point-mask bits), one
             # inside H stays a plane (8 bits)
             gab_lines, gab_planes = [], []
@@ -344,7 +332,8 @@ def hkk_pattern_check(result: HKKResult) -> HKKPatternReport:
 
 def _cps_matrix(b: int, c: int, d: int) -> tuple:
     """The group matrix at a=1, alpha=1 (block [[1, 0, 0], [0, C, bC],
-    [0, 0, C]] shape), as int rows (see ``gf2geom.act_vector``).
+    [0, 0, C]] shape), as int rows: row i is the image of basis vector
+    i + 1 (bit i), and ``gf2geom.span`` of the rows is its point table.
 
     The scalar block C = [[c, d], [d, c+d]] with det = c^2 + cd + d^2 = 1.
     """
@@ -352,30 +341,25 @@ def _cps_matrix(b: int, c: int, d: int) -> tuple:
     return (1,) + tuple(r << 1 | b * r << 3 for r in rows) + tuple(r << 3 for r in rows)
 
 
-def _compose(x: tuple, y: tuple) -> tuple:
-    """The int-row matrix of x then y: row i of the product x y."""
-    return tuple(act_vector(r, y) for r in x)
-
-
 def cps_group() -> list:
-    """The order-6 CPS group over GF(2), with its axioms verified."""
+    """The order-6 CPS group over GF(2) as point tables, with its axioms
+    verified; x then y sends v to ``y[x[v]]``."""
     group = [
-        _cps_matrix(b, c, d)
+        tuple(span(_cps_matrix(b, c, d)))
         for b in (0, 1)
         for (c, d) in ((1, 0), (0, 1), (1, 1))
     ]
     if len(set(group)) != 6:
-        raise AssertionError("CPS group must have 6 elements")
-    ident = (1, 2, 4, 8, 16)
+        raise SpreadAnomaly("CPS group must have 6 elements")
+    ident = tuple(range(32))
     if group[0] != ident:
-        raise AssertionError("M_{1,0,1,0} must be the identity")
+        raise SpreadAnomaly("M_{1,0,1,0} must be the identity")
     for x in group:
-        for y in group:
-            if _compose(x, y) not in group:
-                raise AssertionError("CPS group not closed under product")
-    for x in group:
-        if not any(_compose(x, y) == ident for y in group):
-            raise AssertionError("CPS group element without inverse")
+        products = {tuple([y[v] for v in x]) for y in group}
+        if not products <= set(group):
+            raise SpreadAnomaly("CPS group not closed under product")
+        if ident not in products:
+            raise SpreadAnomaly("CPS group element without inverse")
     return group
 
 

@@ -26,7 +26,7 @@ from typing import (
     Tuple,
 )
 
-from .gf2geom import Subspace
+from .gf2geom import Subspace, span
 from .pg42 import N_LINES, tables
 from .spreads import Spread, SpreadAnomaly, _clique_extend, classify, dual_spread
 
@@ -261,11 +261,9 @@ def optimal_pairs(
 # ---------------------------------------------------------------------------
 # exhaustive (X,X) census
 
-# Generators of GL(5,2) as int-row matrices (see gf2geom.act_vector).
-_GENERATORS = (
-    (2, 4, 8, 16, 1),  # cyclic coordinate shift e_i -> e_{i+1}
-    (3, 2, 4, 8, 16),  # transvection e1 -> e1 + e2
-)
+# Generators of GL(5,2) as point tables: ``span`` of the rows of the cyclic
+# coordinate shift e_i -> e_{i+1} and of the transvection e1 -> e1 + e2.
+_GENERATORS = (tuple(span((2, 4, 8, 16, 1))), tuple(span((3, 2, 4, 8, 16))))
 _GL_ORDER = (32 - 1) * (32 - 2) * (32 - 4) * (32 - 8) * (32 - 16)  # |GL(5,2)|
 
 
@@ -274,11 +272,6 @@ def _line_permutations() -> tuple:
     id of the image of line i."""
     t = tables()
     return tuple(tuple(t.image(l, g) for l in t.lines) for g in _GENERATORS)
-
-
-def _span(points) -> list:
-    """Entry m is the sum of the points at the set bits of m."""
-    return functools.reduce(lambda out, p: out + [x ^ p for x in out], points, [0])
 
 
 def _collineations(s: Spread, t: Spread) -> Iterator[tuple]:
@@ -294,7 +287,7 @@ def _collineations(s: Spread, t: Spread) -> Iterator[tuple]:
     holds at most 3 lines of a spread.
     """
     a, b, *rest = [l.points() for l in s.lines]
-    solid = _span(a[:2] + b[:2])
+    solid = span(a[:2] + b[:2])
     c = next(c for c in rest if not set(c) <= set(solid))
     z, p, _ = sorted(c, key=lambda x: x not in solid)
     basis = solid + [x ^ p for x in solid]
@@ -306,12 +299,28 @@ def _collineations(s: Spread, t: Spread) -> Iterator[tuple]:
     pairs = [list(itertools.permutations(l, 2)) for l in tl]
     for ka, kb in itertools.permutations(range(9), 2):
         for q in itertools.product(pairs[ka], pairs[kb]):
-            image = _span(q[0] + q[1])
+            image = span(q[0] + q[1])
             kc = label[image[coord[z]]]
             for q5 in tl[kc] if kc < 9 else ():
                 g = image + [x ^ q5 for x in image]
                 if all(label[g[i]] == label[g[j]] for i, j in checks):
                     yield tuple([g[m] for m in coord])
+
+
+def _kept(s: Spread, t: Spread) -> Iterator[tuple]:
+    """The g of `_collineations` (s, t), each checked through `Tables.image`
+    to send the lines of s onto those of t, else a SpreadAnomaly."""
+    image, want = tables().image, set(t.line_ids)
+    for g in _collineations(s, t):
+        try:
+            ok = {image(l, g) for l in s.lines} == want
+        except KeyError:  # an image that is no line
+            ok = False
+        if not ok:
+            raise SpreadAnomaly(
+                f"a collineation found does not send {s.line_ids} onto {t.line_ids}"
+            )
+        yield g
 
 
 @functools.cache
@@ -323,7 +332,8 @@ def spread_orbits() -> tuple:
     certified at run time or a SpreadAnomaly: the generators carry line 0
     onto all 155 lines, so there are N = 155 N(line 0) / 9 spreads, and the
     orbits, of |GL(5,2)| / |Stab| spreads each, add up to N (collineations
-    keep types, so no two representatives share an orbit)."""
+    keep types, so no two representatives share an orbit).  Each stabilizer
+    element and isomorphism witness is checked as it is found (`_kept`)."""
     perms, seen = _line_permutations(), {0}
     while new := {p[i] for i in seen for p in perms} - seen:
         seen |= new
@@ -335,8 +345,8 @@ def spread_orbits() -> tuple:
     for row in _clique_extend(adj, [0], adj[0]):
         s = Spread.from_line_ids(row)
         same = [r for r, _ in orbits if classify(r).tag == classify(s).tag]
-        if not any(next(_collineations(r, s), 0) for r in same):
-            orbits.append((s, sum(1 for _ in _collineations(s, s))))
+        if not any(next(_kept(r, s), 0) for r in same):
+            orbits.append((s, sum(1 for _ in _kept(s, s))))
             found += _GL_ORDER // orbits[-1][1]
             if 9 * found >= N_LINES * through0:
                 break

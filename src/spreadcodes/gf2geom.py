@@ -23,7 +23,6 @@ __all__ = [
     "meet",
     "join",
     "dual",
-    "act_vector",
     "subspace_distance",
     "enumerate_subspaces",
     "rref_bases",
@@ -32,7 +31,7 @@ __all__ = [
     "point_to_bitstring",
     "rref",
     "rank",
-    "span_mask",
+    "span",
     "gaussian_binomial",
 ]
 
@@ -73,16 +72,18 @@ def _bits(m: int) -> tuple:
     return tuple(out)
 
 
-def span_mask(basis) -> int:
-    """Membership bitmask of the span: bit v is set iff vector v lies in it.
+def span(vectors) -> list:
+    """Entry m is the XOR of the vectors at the set bits of m.
 
-    Bit 0 (the zero vector) is always set.
+    Of a basis, it lists the subspace's vectors by their coordinates; of the
+    rows of a matrix M (row i the image of bit i), it is M's point table,
+    entry x the product x M.  Such a table is the one form of a collineation
+    here: g sends v to g[v], and "x then y" sends v to y[x[v]].
     """
-    m = 1
-    for b in basis:
-        for v in _bits(m):
-            m |= 1 << (v ^ b)
-    return m
+    out = [0]
+    for v in vectors:
+        out += [x ^ v for x in out]
+    return out
 
 
 class Subspace:
@@ -92,7 +93,7 @@ class Subspace:
     same subspace of the same ambient space.
     """
 
-    __slots__ = ("n", "basis", "_mask")
+    __slots__ = ("n", "basis", "mask")
 
     def __init__(self, vectors, n: int):
         if n < 1 or n > 12:
@@ -103,7 +104,7 @@ class Subspace:
             raise ValueError("vector outside ambient space")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_mask", None)
+        object.__setattr__(self, "mask", sum(1 << v for v in span(basis)))
 
     def __setattr__(self, *args):
         raise AttributeError("Subspace is immutable")
@@ -111,14 +112,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def mask(self) -> int:
-        m = self._mask
-        if m is None:
-            m = span_mask(self.basis)
-            object.__setattr__(self, "_mask", m)
-        return m
 
     def points(self):
         """The nonzero vectors of the subspace, ascending."""
@@ -189,20 +182,6 @@ def dual(u: Subspace) -> Subspace:
                     v |= b & -b
             gens.append(v)
     return Subspace(gens, u.n)
-
-
-def act_vector(v: int, m) -> int:
-    """The row vector ``v`` times the matrix ``m`` over GF(2).
-
-    ``m`` is a tuple of row vectors stored as ints, like every vector here:
-    row ``i`` is the image of basis vector ``i + 1`` (bit ``i``).
-    """
-    out = 0
-    for row in m:
-        if v & 1:
-            out ^= row
-        v >>= 1
-    return out
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:

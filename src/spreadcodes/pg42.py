@@ -13,8 +13,9 @@ A line is found by its point mask (``1 | 1 << a | 1 << b | 1 << (a ^ b)`` for
 two of its points a, b; bit 0 stands for the zero vector) in ``line_id``,
 which the spread-file parser reads without building a subspace; a plane is
 found by its point mask in ``plane_id``.  ``Tables.image`` maps a line or
-plane to the ID of its image under a matrix through the same lookups, so a
-group acts on IDs.  The lines inside each plane are one 155-bit int per
+plane to the ID of its image under a collineation, given as its point table
+(``gf2geom.span`` of a matrix's rows), through the same lookups, so a group
+acts on IDs.  The lines inside each plane are one 155-bit int per
 plane in ``plane_lines``, so "no line of a set lies in any plane of
 another" is a single AND.  Only ``line_mask`` needs numpy, on first access.
 """
@@ -25,7 +26,7 @@ import functools
 import itertools
 import threading
 
-from .gf2geom import Subspace, _bits, act_vector, dual, enumerate_subspaces
+from .gf2geom import Subspace, _bits, dual, enumerate_subspaces
 
 __all__ = ["Tables", "tables"]
 
@@ -86,13 +87,15 @@ class Tables:
 
         return np.array([l.mask for l in self.lines], dtype=np.uint32)
 
-    def image(self, s: Subspace, m) -> int:
-        """The ID of the image of the line or plane ``s`` under the invertible
-        int-row matrix ``m`` (see ``gf2geom.act_vector``): the image's point
-        mask, looked up in ``line_id`` or ``plane_id``."""
+    def image(self, s: Subspace, g) -> int:
+        """The ID of the image of the line or plane ``s`` under the
+        collineation with point table ``g`` (v goes to ``g[v]``; see
+        ``gf2geom.span``): the image's point mask, looked up in ``line_id``
+        or ``plane_id``.  As a plane's ID is its dual line's, the image of
+        ``planes[l]`` has the ID of the image of line l under g^-T."""
         mask = 1
         for v in s.points():
-            mask |= 1 << act_vector(v, m)
+            mask |= 1 << g[v]
         return (self.line_id if s.dim == 2 else self.plane_id)[mask]
 
 

@@ -22,6 +22,21 @@ def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
+def act_vector(v: int, m) -> int:
+    """The row vector ``v`` times the matrix ``m`` over GF(2): the oracle
+    for point tables (``gf2geom.span``).
+
+    ``m`` is a tuple of row vectors stored as ints, like every vector here:
+    row ``i`` is the image of basis vector ``i + 1`` (bit ``i``).
+    """
+    out = 0
+    for row in m:
+        if v & 1:
+            out ^= row
+        v >>= 1
+    return out
+
+
 def format_spread(s: Spread) -> str:
     """One spread as a single line of a spread file; points of each line
     ascending."""

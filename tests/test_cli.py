@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 import spreadcodes
-from spreadcodes import cli, corpus
+from spreadcodes import cli, constructions, corpus
 from spreadcodes.constructions import cps_build, hkk_build
 from spreadcodes.doubling import PatternCensus, validate_doubling
 from spreadcodes.spreads import classify, reguli
@@ -113,6 +113,41 @@ class TestExitCodes:
             "invariant violation: census violations: "
             "[('pattern outside allowed set', (3, 2, 2, 1), 1)]\n"
         )
+
+    @pytest.mark.parametrize(
+        "name, fake, argv, text",
+        [
+            (
+                "_cps_matrix",
+                lambda b, c, d: (1, 2, 4, 8, 16),
+                ["cps", "--limit", "1"],
+                "CPS group must have 6 elements",
+            ),
+            (
+                "_gab_matrix",
+                lambda a0, a1: (0, 0, 0),
+                ["hkk", "--limit", "1"],
+                "rank distance below 2 in Gabidulin code",
+            ),
+        ],
+        ids=["cps-group", "gabidulin"],
+    )
+    def test_failed_construction_certificate_is_3(
+        self, monkeypatch, capsys, name, fake, argv, text
+    ):
+        """A construction whose own check fails (every CPS matrix the
+        identity, every Gabidulin matrix zero) ends in exit 3 with one line
+        on stderr, not in a traceback."""
+        caches = (constructions.build_lifted_gabidulin, constructions.cps_orbits)
+        monkeypatch.setattr(constructions, name, fake)
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            assert cli.main(argv) == 3
+        finally:
+            for cached in caches:
+                cached.cache_clear()  # drop what the fake built
+        assert capsys.readouterr().err == f"invariant violation: {text}\n"
 
     def test_missing_file_is_1(self, capsys):
         assert cli.main(["classify", "/nonexistent/file.txt"]) == 1

@@ -22,11 +22,11 @@ from spreadcodes.constructions import (
 from spreadcodes.doubling import min_distance, validate_doubling
 from spreadcodes.gf2geom import (
     Subspace,
-    act_vector,
     enumerate_subspaces,
     join,
     meet,
     rref,
+    span,
     subspace_distance,
 )
 from spreadcodes.pg42 import tables
@@ -87,7 +87,7 @@ class TestShorten:
     def test_kept_codeword_stays_whole(self, gab):
         h = Subspace((1, 2, 4, 8, 16), 6)
         p = 32
-        coord = constructions._h_coordinates(h)
+        coord = {v: c for c, v in enumerate(span(h.basis))}
         kept = Subspace((1, 2, 4), 6)
         cut = Subspace((32, 2, 4), 6)
         dropped = Subspace((33, 2, 4), 6)  # off p, not inside h
@@ -120,7 +120,7 @@ class TestShorten:
                 for x in code
                 if x <= cfg.h or cfg.p in x
             ]
-            coord = constructions._h_coordinates(cfg.h)
+            coord = {v: c for c, v in enumerate(span(cfg.h.basis))}
             masks = (
                 constructions._shorten_mask(x.mask, cfg.p, cfg.h.mask, coord)
                 for x in code
@@ -279,14 +279,14 @@ class TestCPSGroup:
         group = cps_group()
         assert len(group) == 6
         # cyclic of order 6: one involution, two order-3 and two order-6
-        # elements besides the identity; matrices are int rows, row i the
-        # image of basis vector i + 1
-        ident = (1, 2, 4, 8, 16)
+        # elements besides the identity; elements are point tables, and g
+        # then g again sends v to g[g[v]]
+        ident = tuple(range(32))
         orders = []
-        for m in group:
-            x, k = m, 1
+        for g in group:
+            x, k = g, 1
             while x != ident:
-                x = tuple(act_vector(r, m) for r in x)
+                x = tuple(g[v] for v in x)
                 k += 1
             orders.append(k)
         assert sorted(orders) == [1, 2, 3, 3, 6, 6]

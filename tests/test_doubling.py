@@ -23,11 +23,12 @@ from spreadcodes.doubling import (
     pattern_census,
     validate_doubling,
 )
+from conftest import act_vector
 from spreadcodes.gf2geom import (
     Subspace,
-    act_vector,
     dual,
     enumerate_subspaces,
+    span,
     subspace_distance,
 )
 from spreadcodes.pg42 import tables
@@ -316,17 +317,18 @@ class TestGL52Generators:
 
 
 def _random_collineation(rng) -> tuple:
-    """A seeded invertible int-row matrix: rows drawn until the matrix is a
-    bijection of the 32 vectors."""
+    """The point table of a seeded invertible matrix: rows drawn until the
+    table is a bijection of the 32 vectors."""
     while True:
-        m = tuple(rng.randrange(1, 32) for _ in range(5))
-        if len({act_vector(v, m) for v in range(32)}) == 32:
-            return m
+        g = tuple(span(rng.randrange(1, 32) for _ in range(5)))
+        if len(set(g)) == 32:
+            return g
 
 
-def _image(s, m, rng) -> Spread:
-    """The image of spread ``s`` under the matrix ``m``, its lines shuffled."""
-    ids = [tables().image(l, m) for l in s.lines]
+def _image(s, g, rng) -> Spread:
+    """The image of spread ``s`` under the point table ``g``, its lines
+    shuffled."""
+    ids = [tables().image(l, g) for l in s.lines]
     rng.shuffle(ids)
     return Spread.from_line_ids(ids)
 
@@ -360,7 +362,7 @@ class TestCollineations:
                 for g in found:
                     m = (g[1], g[2], g[4], g[8], g[16])
                     assert list(g) == [act_vector(x, m) for x in range(32)]
-                    assert {t.image(l, m) for l in s.lines} == set(target.line_ids)
+                    assert {t.image(l, g) for l in s.lines} == set(target.line_ids)
 
     def test_stabilizer_of_x_row_0_is_closed_under_composition(self, reps):
         s = next(s for s, _ in reps if classify(s).tag == "X")
@@ -371,9 +373,9 @@ class TestCollineations:
     def test_count_onto_an_image_is_the_stabilizer_order(self, reps):
         rng = random.Random(3)
         for _ in range(3):
-            m = _random_collineation(rng)
+            g = _random_collineation(rng)
             for s, k in reps:
-                image = _image(s, m, rng)
+                image = _image(s, g, rng)
                 onto = sum(1 for _ in doubling._collineations(s, image))
                 assert onto == sum(1 for _ in doubling._collineations(s, s)) == k
 
@@ -420,6 +422,49 @@ class TestExhaustiveCensus:
         one = pattern_census((s1, Spread.from_line_ids(r)) for r in want)
         got = exhaustive_xx_census(limit=1)
         assert (got.pair_count, got.histogram) == (len(want), one.histogram)
+
+    @pytest.mark.parametrize(
+        "stray",
+        [doubling._GENERATORS[0], (0,) * 32],
+        ids=["moves-the-spread", "maps-lines-to-zero"],
+    )
+    def test_orbits_fail_at_the_first_collineation_off_the_spread(
+        self, monkeypatch, capsys, stray
+    ):
+        # a search that also yields one g that does not fix S (a collineation
+        # that moves S, or a table with no line as an image) must raise at
+        # the first representative, row 0, with no other search begun: its
+        # third call would mean that the walk went on through the rows
+        real = doubling._collineations
+        adj = tables().adjacency
+        row0 = Spread.from_line_ids(next(_clique_extend(adj, [0], adj[0])))
+        assert stray not in set(real(row0, row0))
+        calls = []
+
+        class WalkedOn(Exception):
+            pass
+
+        def with_a_stray(s, t):
+            calls.append((s, t))
+            if len(calls) == 3:
+                raise WalkedOn("the orbit walk went on past its first row")
+            yield from real(s, t)
+            yield stray
+
+        monkeypatch.setattr(doubling, "_collineations", with_a_stray)
+        try:
+            doubling.spread_orbits.cache_clear()
+            with pytest.raises(SpreadAnomaly, match="does not send"):
+                doubling.spread_orbits()
+            assert calls == [(row0, row0)]
+            calls.clear()
+            doubling.spread_orbits.cache_clear()
+            assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
+            assert "invariant violation: a collineation" in capsys.readouterr().err
+            assert len(calls) == 1
+        finally:
+            monkeypatch.undo()
+            doubling.spread_orbits.cache_clear()  # drop the faked orbits
 
     def test_doubling_never_mentions_numpy(self):
         assert "numpy" not in Path(doubling.__file__).read_text(encoding="utf-8")

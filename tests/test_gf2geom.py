@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import dot
+from conftest import act_vector, dot
+from spreadcodes import doubling
+from spreadcodes.constructions import _cps_matrix, cps_group
 from spreadcodes.gf2geom import (
     Subspace,
     dual,
@@ -15,8 +17,10 @@ from spreadcodes.gf2geom import (
     meet,
     parse_point,
     point_to_bitstring,
+    rank,
     rref,
     rref_bases,
+    span,
     subspace_distance,
 )
 
@@ -93,6 +97,44 @@ class TestRref:
         for _ in range(200):
             s = random_subspace(rng, 5)
             assert len(s.points()) == 2**s.dim - 1
+
+
+class TestSpan:
+    def test_point_tables_match_matrix_product_oracle(self):
+        """``span`` of a matrix's rows is its point table, entry x the
+        product x M by ``act_vector``: for the GL(5,2) generators, the six
+        CPS matrices and seeded random invertible matrices."""
+        generators = [(2, 4, 8, 16, 1), (3, 2, 4, 8, 16)]
+        cps = [
+            _cps_matrix(b, c, d)
+            for b in (0, 1)
+            for (c, d) in ((1, 0), (0, 1), (1, 1))
+        ]
+        rng = random.Random(14)
+        drawn = []
+        while len(drawn) < 200:
+            m = tuple(rng.randrange(1, 32) for _ in range(5))
+            if rank(m) == 5:
+                drawn.append(m)
+        for m in generators + cps + drawn:
+            assert span(m) == [act_vector(x, m) for x in range(32)]
+        # and these are the tables the program acts by
+        assert doubling._GENERATORS == tuple(tuple(span(m)) for m in generators)
+        assert cps_group() == [tuple(span(m)) for m in cps]
+
+    def test_mask_matches_brute_force_membership(self):
+        """``Subspace(b, n).mask`` of every subspace with n <= 5: bit v is
+        set iff adding v to the basis keeps its rank."""
+        checked = 0
+        for n in range(1, 6):
+            for k in range(n + 1):
+                for b in rref_bases(n, k):
+                    want = sum(
+                        1 << v for v in range(1 << n) if rank(b + (v,)) == k
+                    )
+                    assert Subspace(b, n).mask == want
+                    checked += 1
+        assert checked == 2 + 5 + 16 + 67 + 374
 
 
 class TestLatticeOps:

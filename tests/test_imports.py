@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used or re-exported, every
-name it exports is read by the program, and no module imports
-``dataclasses``."""
+name it exports is read by the program, no module imports ``dataclasses``,
+and none names ``AssertionError``."""
 
 import ast
 import json
@@ -184,6 +184,34 @@ def test_no_dataclasses(path):
 def test_detects_a_dataclasses_import():
     src = "import os\nimport dataclasses\ndef f():\n    from dataclasses import field\n"
     assert _dataclass_imports(src) == [2, 4]
+
+
+def _assertion_errors(source: str) -> list:
+    """Lines of ``source`` that name ``AssertionError``: a failed invariant
+    is a ``SpreadAnomaly``, which the command line reports with exit 3."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id == "AssertionError"
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assertion_error_in_src(path):
+    assert _assertion_errors(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_an_assertion_error():
+    src = (
+        "assert x\n"
+        "def f():\n"
+        "    raise AssertionError('bad')\n"
+        "try:\n"
+        "    f()\n"
+        "except AssertionError:\n"
+        "    pass\n"
+    )
+    assert _assertion_errors(src) == [3, 6]
 
 
 # a fresh interpreter: this one has numpy and every module loaded

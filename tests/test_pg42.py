@@ -3,7 +3,7 @@
 from spreadcodes import doubling
 from spreadcodes.constructions import cps_group
 from conftest import dot
-from spreadcodes.gf2geom import Subspace, act_vector, enumerate_subspaces, rref
+from spreadcodes.gf2geom import Subspace, enumerate_subspaces, rref, span
 from spreadcodes.pg42 import N_LINES, tables
 
 
@@ -32,14 +32,32 @@ class TestTables:
         assert len(t.plane_id) == N_LINES
 
     def test_image_matches_rref_oracle(self):
-        """``image`` on every line and plane, under the CPS group and the
-        GL(5,2) generators, against the image subspace built by rref."""
+        """``image`` on every line and plane, under the point tables of the
+        CPS group and the GL(5,2) generators, against the image subspace
+        built by rref from the images of a basis."""
         t = tables()
-        for m in cps_group() + list(doubling._GENERATORS):
+        for g in cps_group() + list(doubling._GENERATORS):
             for table in (t.lines, t.planes):
                 for s in table:
-                    want = Subspace([act_vector(v, m) for v in s.basis], 5)
-                    assert table[t.image(s, m)] == want
+                    want = Subspace([g[v] for v in s.basis], 5)
+                    assert table[t.image(s, g)] == want
+
+    def test_plane_image_is_the_dual_line_image_under_inverse_transpose(self):
+        """As a plane's id is its dual line's, ``image`` of ``planes[l]``
+        under g is the id of the image of line l under g^-T, the table h
+        with h[u] . g[w] = u . w for all u, w."""
+        t = tables()
+        for g in cps_group() + list(doubling._GENERATORS):
+            h = span(
+                next(
+                    v
+                    for v in range(32)
+                    if all(dot(v, g[w]) == dot(e, w) for w in range(32))
+                )
+                for e in (1, 2, 4, 8, 16)
+            )
+            for l in range(N_LINES):
+                assert t.image(t.planes[l], g) == t.image(t.lines[l], h)
 
     def test_join_solid(self):
         """Two lines span a solid iff their ``line_solids`` masks share
