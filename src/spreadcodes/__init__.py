@@ -26,7 +26,6 @@ from .spreads import (  # noqa: F401
     SpreadError,
     SpreadAnomaly,
     classify,
-    reguli,
     holes,
     is_regulus,
     dual_spread,

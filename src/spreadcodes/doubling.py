@@ -10,25 +10,21 @@ how many holes of S1 it contains.
 
 The exhaustive census histograms the patterns of all 9 planes of every
 ordered optimal pair of type-X spreads, by symmetry over the one orbit of
-type-X spreads among the GL(5,2) orbits of `spread_orbits`.
+type-X spreads among the GL(5,2) orbits of `spread_orbits`, which counts
+the spreads twice through one pair of disjoint lines.  It types candidate
+partners on their line ids and builds a ``Spread`` for type-X rows only.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import (
-    Iterable,
-    Iterator,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .gf2geom import Subspace, span
 from .pg42 import N_LINES, tables
-from .spreads import Spread, SpreadAnomaly, _clique_extend, classify, dual_spread
+from .spreads import Spread, SpreadAnomaly, _classify, _clique_extend
+from .spreads import classify, dual_spread
 
 __all__ = [
     "DoublingCode",
@@ -326,34 +322,47 @@ def _kept(s: Spread, t: Spread) -> Iterator[tuple]:
 @functools.cache
 def spread_orbits() -> tuple:
     """The GL(5,2) orbits of spreads as (representative, |Stab|) pairs: the
-    first spreads through line 0, in lexicographic order, not isomorphic to
-    an earlier one of the same type.  Orbit-stabilizer (Kaski and
-    Östergård, *Classification Algorithms for Codes and Designs*, 2006),
-    certified at run time or a SpreadAnomaly: the generators carry line 0
-    onto all 155 lines, so there are N = 155 N(line 0) / 9 spreads, and the
+    first spreads through line 0 and j, the lowest line disjoint from it, in
+    lexicographic order, not isomorphic to an earlier one of the same type.
+    Orbit-stabilizer (Kaski and Östergård, *Classification Algorithms for
+    Codes and Designs*, 2006), certified at run time or a SpreadAnomaly: the
+    generators carry {0, j} onto all P = 8,680 pairs of disjoint lines, so,
+    as a spread holds 36 of them, there are N = P N(0, j) / 36 spreads; the
     orbits, of |GL(5,2)| / |Stab| spreads each, add up to N (collineations
     keep types, so no two representatives share an orbit).  Each stabilizer
     element and isomorphism witness is checked as it is found (`_kept`)."""
-    perms, seen = _line_permutations(), {0}
-    while new := {p[i] for i in seen for p in perms} - seen:
-        seen |= new
-    if len(seen) != N_LINES:
-        raise SpreadAnomaly(f"the generators carry line 0 onto {len(seen)} lines")
     adj = tables().adjacency
-    through0 = sum(1 for _ in _clique_extend(adj, [0], adj[0]))
+    j = (adj[0] & -adj[0]).bit_length() - 1
+    pairs = sum(a.bit_count() for a in adj) // 2
+    # the orbit of {0, j}: the pair {a < b} is marked at a * N_LINES + b
+    perms, seen, todo = _line_permutations(), bytearray(N_LINES * N_LINES), [j]
+    seen[j] = 1
+    while todo:
+        a, b = divmod(todo.pop(), N_LINES)
+        for p in perms:
+            x, y = sorted((p[a], p[b]))
+            if not seen[k := x * N_LINES + y]:
+                seen[k] = 1
+                todo.append(k)
+    if seen.count(1) != pairs:
+        raise SpreadAnomaly(
+            f"the generators carry the pair (0, {j}) onto {seen.count(1)} of "
+            f"the {pairs} pairs of disjoint lines"
+        )
+    through = sum(1 for _ in _clique_extend(adj, [0, j], adj[0] & adj[j]))
     orbits, found = [], 0
-    for row in _clique_extend(adj, [0], adj[0]):
+    for row in _clique_extend(adj, [0, j], adj[0] & adj[j]):
         s = Spread.from_line_ids(row)
         same = [r for r, _ in orbits if classify(r).tag == classify(s).tag]
         if not any(next(_kept(r, s), 0) for r in same):
             orbits.append((s, sum(1 for _ in _kept(s, s))))
             found += _GL_ORDER // orbits[-1][1]
-            if 9 * found >= N_LINES * through0:
+            if 36 * found >= pairs * through:
                 break
-    if 9 * found != N_LINES * through0 or any(_GL_ORDER % k for _, k in orbits):
+    if 36 * found != pairs * through or any(_GL_ORDER % k for _, k in orbits):
         raise SpreadAnomaly(
             f"orbits with stabilizers of orders {[k for _, k in orbits]} hold "
-            f"{found} spreads, not {N_LINES} x {through0} / 9"
+            f"{found} spreads, not {pairs} x {through} / 36"
         )
     return tuple(orbits)
 
@@ -373,7 +382,9 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     of S1) onto those of g S1, and all S1 in one orbit have the same
     histogram.  `spread_orbits` gives the one orbit of type-X spreads and
     its size without enumerating it, so the census of n first spreads is
-    the histogram of its representative times n.
+    the histogram of its representative times n.  Each candidate partner
+    row is typed on its line ids (`spreads._classify`), and only the
+    type-X rows become ``Spread`` objects.
 
     ``limit`` takes only the first ``limit`` type-X spreads as S1 (for
     smoke tests); by default all of them.
@@ -389,7 +400,7 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     # the dual plane of that line (orthogonality is symmetric), so the
     # partners are the type-X spreads of lines outside ``s1.perp_bits``
     rows = _clique_extend(tables().adjacency, [], (1 << N_LINES) - 1 & ~s1.perp_bits)
-    partners = (s for s in map(Spread.from_line_ids, rows) if classify(s).tag == "X")
+    partners = (Spread.from_line_ids(r) for r in rows if _classify(r).tag == "X")
     one = pattern_census((s1, s2) for s2 in partners)
     return PatternCensus(
         {key: c * n for key, c in one.histogram.items()}, one.pair_count * n, n

@@ -13,9 +13,11 @@ separates spreads into three types:
                  all of whose lines lie on just that regulus.
 
 A regulus is three lines in one solid, read from ``tables().line_solids``.
-The module provides object-level operations on single spreads and a
-vectorized bulk pipeline over the full exhaustive enumeration or any array
-of spreads; only the bulk pipeline imports numpy, when called.
+One kernel types the spread with 9 given line ids (`_classify`), so a caller
+holding ids types them before it builds any ``Spread``; ``classify`` caches
+its result on the object.  The vectorized bulk pipeline (`classify_all`)
+types an array of spreads at once, such as the full exhaustive enumeration;
+it alone imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "SpreadAnomaly",
     "SpreadType",
     "is_regulus",
-    "reguli",
     "classify",
     "holes",
     "dual_spread",
@@ -179,29 +180,6 @@ def _regulus_solids(masks):
     return twos, three
 
 
-def reguli(s: Spread) -> tuple:
-    """All regulus triples of the spread, as sorted index triples in
-    ascending order: the lines in each solid that holds three of them.
-
-    Every size-9 spread has exactly 4; anything else raises SpreadAnomaly.
-    """
-    ls = tables().line_solids
-    masks = [ls[i] for i in s.line_ids]
-    three = _regulus_solids(masks)[1]
-    # one pass: each position joins the group of every regulus solid on its line
-    by_solid = {}
-    for i, m in enumerate(masks):
-        m &= three
-        while m:
-            solid = m & -m
-            m ^= solid
-            by_solid.setdefault(solid, []).append(i)
-    out = sorted(map(tuple, by_solid.values()))
-    if [len(t) for t in out] != [3] * 4:
-        raise SpreadAnomaly(f"lines of the regulus solids: {out}, expected 4 triples")
-    return tuple(out)
-
-
 class SpreadType(NamedTuple):
     """Classification of a spread.
 
@@ -217,32 +195,46 @@ class SpreadType(NamedTuple):
 
 def classify(s: Spread) -> SpreadType:
     """Type a spread by its per-line regulus-membership counts, once per
-    ``Spread`` object: the type gives positions in the stored line order,
-    so equal spreads stored in other orders are typed apart."""
+    ``Spread`` object (`_classify` of its line ids): the type gives
+    positions in the stored line order, so equal spreads stored in other
+    orders are typed apart."""
     if s._type is None:
-        object.__setattr__(s, "_type", _classify(s))
+        object.__setattr__(s, "_type", _classify(s.line_ids))
     return s._type
 
 
-def _classify(s: Spread) -> SpreadType:
-    regs = reguli(s)
-    counts = [0] * 9
-    for t in regs:
-        for i in t:
-            counts[i] += 1
+def _classify(ids) -> SpreadType:
+    """The type of the spread with these 9 line ids, in their order, by one
+    pass over their ``line_solids`` masks: each position joins the group of
+    every regulus solid on its line, and its count is the number of them.
+    The 4 groups are the reguli, as sorted index triples in ascending order;
+    anything else raises SpreadAnomaly."""
+    ls = tables().line_solids
+    masks = [ls[i] for i in ids]
+    three = _regulus_solids(masks)[1]
+    by_solid, counts = {}, []
+    for i, m in enumerate(masks):
+        m &= three
+        counts.append(m.bit_count())
+        while m:
+            solid = m & -m
+            m ^= solid
+            by_solid.setdefault(solid, []).append(i)
+    regs = sorted(map(tuple, by_solid.values()))
+    if [len(t) for t in regs] != [3] * 4:
+        raise SpreadAnomaly(f"lines of the regulus solids: {regs}, expected 4 triples")
+    regs, counts = tuple(regs), tuple(counts)
     multiset = tuple(sorted(counts, reverse=True))
     if multiset == (4, 1, 1, 1, 1, 1, 1, 1, 1):
-        return SpreadType("X", counts.index(4), regs, tuple(counts))
+        return SpreadType("X", counts.index(4), regs, counts)
     if multiset == (2, 2, 2, 1, 1, 1, 1, 1, 1):
         two = tuple(i for i in range(9) if counts[i] == 2)
         if two in regs:
-            return SpreadType("E", two, regs, tuple(counts))
+            return SpreadType("E", two, regs, counts)
         ones = [t for t in regs if all(counts[i] == 1 for i in t)]
         if len(ones) != 1:
-            raise SpreadAnomaly(
-                f"IDelta spread without unique count-1 regulus: {ones}"
-            )
-        return SpreadType("IDelta", ones[0], regs, tuple(counts))
+            raise SpreadAnomaly(f"IDelta spread without unique count-1 regulus: {ones}")
+        return SpreadType("IDelta", ones[0], regs, counts)
     raise SpreadAnomaly(f"regulus-membership counts {multiset} match no type")
 
 
@@ -349,18 +341,15 @@ class BulkClassification(NamedTuple):
     TAGS = ("X", "E", "IDelta")
 
     def type_counts(self) -> dict:
-        out = {}
-        for code, tag in enumerate(self.TAGS):
-            out[tag] = int((self.types == code).sum())
-        return out
+        return {tag: int((self.types == k).sum()) for k, tag in enumerate(self.TAGS)}
 
 
 def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     """Classify a (M, 9) array of spreads at once.
 
-    Mirrors :func:`classify` but vectorized: the count of :func:`reguli`
-    runs on the columns of ``line_solids`` masks, and a position's count is
-    the number of regulus solids on its line.  Without ``arr`` it
+    Mirrors `_classify` row by row, vectorized: the count of regulus
+    solids runs on the columns of ``line_solids`` masks, and a position's
+    count is the number of regulus solids on its line.  Without ``arr`` it
     classifies the full enumeration, once per process.
     """
     import numpy as np
@@ -379,11 +368,9 @@ def classify_all(arr: Optional[np.ndarray] = None) -> BulkClassification:
     ok = (n_reguli == 4) & (counts.sum(axis=1) == 12) & (counts.min(axis=1) > 0)
     if not (ok & ((mx == 4) | (mx == 2))).all():
         raise SpreadAnomaly("bulk classification: regulus counts that match no type")
-    types = np.full(len(arr), 2, dtype=np.uint8)
     is_x = mx == 4
-    types[is_x] = 0
-    common_pos = np.full(len(arr), -1, dtype=np.int8)
-    common_pos[is_x] = counts[is_x].argmax(axis=1)
+    types = np.where(is_x, 0, 2).astype(np.uint8)
+    common_pos = np.where(is_x, counts.argmax(axis=1), -1).astype(np.int8)
     # type E iff the lines at the three count-2 positions form a regulus;
     # only the other rows have such positions, three each, in row order
     triple = masks[counts == 2].reshape(-1, 3)

@@ -133,7 +133,9 @@ def test_type_split_by_double_counting():
     # bulk classification of the spreads through line 0; the GL(5,2)
     # generators are transitive on lines (``spread_orbits`` certifies it) and
     # keep types, so each line lies on N_T(line 0) spreads of type T, and
-    # each spread holds 9 lines: 155 N_T(line 0) = 9 N_T
+    # each spread holds 9 lines: 155 N_T(line 0) = 9 N_T.  The count that
+    # ``spread_orbits`` certifies goes through the pair of lines 0 and 29:
+    # 8,680 pairs of disjoint lines, 36 in each spread
     sizes = {}
     for s, stab in spread_orbits():
         tag = classify(s).tag
@@ -141,6 +143,8 @@ def test_type_split_by_double_counting():
     assert sizes == FROZEN_TYPE_COUNTS
     assert sum(sizes.values()) == FROZEN_SPREAD_COUNT
     adj = tables().adjacency
+    through_pair = sum(1 for _ in _clique_extend(adj, [0, 29], adj[0] & adj[29]))
+    assert 8_680 * through_pair == 36 * FROZEN_SPREAD_COUNT
     rows = _clique_extend(adj, [0], adj[0])
     flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int16)
     through0 = classify_all(flat.reshape(-1, 9)).type_counts()

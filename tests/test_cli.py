@@ -13,17 +13,19 @@ import spreadcodes
 from spreadcodes import cli, constructions, corpus
 from spreadcodes.constructions import cps_build, hkk_build
 from spreadcodes.doubling import PatternCensus, validate_doubling
-from spreadcodes.spreads import classify, reguli
+from spreadcodes.spreads import _classify, classify
 
 from conftest import format_spreads
 
 
 @pytest.fixture()
-def reguli_calls(monkeypatch):
-    """The spreads ``spreads.reguli`` is called on, the work of ``classify``."""
+def classify_calls(monkeypatch):
+    """The line ids ``spreads._classify`` is called on, the work of
+    ``classify``: each ``Spread`` holds its own ``line_ids`` tuple."""
     calls = []
     monkeypatch.setattr(
-        "spreadcodes.spreads.reguli", lambda s: calls.append(s) or reguli(s)
+        "spreadcodes.spreads._classify",
+        lambda ids: calls.append(ids) or _classify(ids),
     )
     return calls
 
@@ -475,12 +477,12 @@ class TestCensus:
         assert ei.value.code == 1
 
     def test_db_census_classifies_each_spread_once(
-        self, mixed_db, capsys, reguli_calls
+        self, mixed_db, capsys, classify_calls
     ):
         db, optimal = mixed_db
         assert cli.main(["census", "--db", str(db)]) == 0
         assert f"pairs: {optimal.count(('X', 'X'))}\n" in capsys.readouterr().out
-        assert len(reguli_calls) == len(set(map(id, reguli_calls))) == 4
+        assert len(classify_calls) == len(set(map(id, classify_calls))) == 4
 
     def test_db_census_counts_only_xx_pairs(self, mixed_db, capsys):
         db, optimal = mixed_db
@@ -583,7 +585,8 @@ class TestImports:
         out = [["import", None, [m for m in watched if m in sys.modules]]]
         db = sys.argv[1]
         for argv in (["verify-paper"], ["classify", db],
-                     ["doubling", "--search-db", db], ["hkk", "--limit", "1"],
+                     ["doubling", "--search-db", db], ["census", "--db", db],
+                     ["enumerate", "lines"], ["hkk", "--limit", "1"],
                      ["cps", "--limit", "1"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = cli.main(argv)
@@ -623,13 +626,16 @@ class TestImports:
             ["verify-paper", 0, []],
             ["classify", 0, []],
             ["doubling", 0, []],
+            ["census", 0, []],
+            ["enumerate", 0, []],
             ["hkk", 0, ["spreadcodes.constructions"]],
             ["cps", 0, ["spreadcodes.constructions"]],
         ]
 
     def test_exhaustive_census_loads_no_numpy(self):
-        """``census --exhaustive`` types every spread by ``classify``, so it
-        loads neither numpy nor ``dataclasses`` nor ``inspect``."""
+        """``census --exhaustive`` types every spread on its line ids
+        (``spreads._classify``), so it loads neither numpy nor
+        ``dataclasses`` nor ``inspect``."""
         script = textwrap.dedent(
             """
             import contextlib, io, sys
@@ -647,7 +653,8 @@ class TestImports:
         """Neither the package nor any command imports ``dataclasses`` or
         ``inspect``, which it pulls in with ``ast`` and ``dis``: 6-9 ms of
         every process's start (2 cores, Python 3.11.7)."""
-        steps = ["import", "verify-paper", "classify", "doubling", "hkk", "cps"]
+        steps = ["import", "verify-paper", "classify", "doubling", "census",
+                 "enumerate", "hkk", "cps"]
         assert self._loaded(db_file, ("dataclasses", "inspect")) == [
             [step, None if step == "import" else 0, []] for step in steps
         ]
@@ -722,7 +729,7 @@ class TestOutputPins:
              "d137f4296d6054a7aac55ad9ba846a3e5e7555084e11b45514ccf106002fe415"),
         ],
     )
-    def test_search_db(self, tmp_path, capsys, reguli_calls, types, sha):
+    def test_search_db(self, tmp_path, capsys, classify_calls, types, sha):
         """``doubling --search-db`` on the ten corpus spreads and the first
         ``basic`` CPS pair (types X and E), each spread classified once."""
         code, _ = next(cps_build(variant="basic", limit=1))
@@ -732,7 +739,7 @@ class TestOutputPins:
         db.write_text(format_spreads(spreads))
         argv = ["doubling", "--search-db", str(db), "--filter", *types]
         assert self._sha(capsys, argv) == sha
-        assert len(reguli_calls) == len(spreads)
+        assert len(classify_calls) == len(spreads)
 
     @pytest.fixture()
     def typed_db_file(self, tmp_path, sample_spreads):

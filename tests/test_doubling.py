@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -465,6 +466,27 @@ class TestExhaustiveCensus:
         finally:
             monkeypatch.undo()
             doubling.spread_orbits.cache_clear()  # drop the faked orbits
+
+    def test_orbits_fail_when_the_generators_are_not_transitive(
+        self, monkeypatch, capsys
+    ):
+        # with the identity as the only generator the pair {0, 29} reaches
+        # itself alone: the certificate fails in the library, and the CLI
+        # exits 3 with one line naming the pair
+        identity = tuple(range(155))
+        monkeypatch.setattr(doubling, "_line_permutations", lambda: (identity,))
+        msg = "the generators carry the pair (0, 29) onto 1 of the 8680 pairs"
+        try:
+            doubling.spread_orbits.cache_clear()
+            with pytest.raises(SpreadAnomaly, match=re.escape(msg)):
+                doubling.spread_orbits()
+            doubling.spread_orbits.cache_clear()
+            assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("invariant violation: " + msg)
+        finally:
+            monkeypatch.undo()
+            doubling.spread_orbits.cache_clear()  # drop the failed certificate
 
     def test_doubling_never_mentions_numpy(self):
         assert "numpy" not in Path(doubling.__file__).read_text(encoding="utf-8")

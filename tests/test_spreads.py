@@ -13,6 +13,7 @@ from spreadcodes.spreads import (
     Spread,
     SpreadAnomaly,
     SpreadError,
+    _classify,
     _clique_extend,
     all_spread_line_ids,
     _disjoint,
@@ -22,7 +23,6 @@ from spreadcodes.spreads import (
     dual_spread,
     holes,
     is_regulus,
-    reguli,
     verify_regulus_free_extension,
 )
 
@@ -46,9 +46,9 @@ def _orthogonal(a, b) -> bool:
 
 
 def rank_four_reguli(s):
-    """Oracle for ``reguli``, apart from ``line_solids`` and the bit-sliced
-    count that the scalar and bulk paths share: the index triples whose 6
-    basis vectors have rank 4, that is whose lines span a solid."""
+    """Oracle for ``classify(s).reguli``, apart from ``line_solids`` and the
+    bit-sliced count that the scalar and bulk paths share: the index triples
+    whose 6 basis vectors have rank 4, that is whose lines span a solid."""
     return tuple(
         t
         for t in itertools.combinations(range(9), 3)
@@ -197,7 +197,7 @@ class TestDisjointnessGraph:
 class TestReguli:
     def test_is_regulus_examples(self, reference_pairs):
         s1, _ = reference_pairs[0]
-        assert is_regulus([s1.line_ids[i] for i in reguli(s1)[0]])
+        assert is_regulus([s1.line_ids[i] for i in classify(s1).reguli[0]])
         # lines through a common point are not even disjoint
         assert not is_regulus([_line("1", "2"), _line("1", "3"), _line("1", "4")])
         with pytest.raises(ValueError):  # a regulus has three lines
@@ -221,23 +221,23 @@ class TestReguli:
 
     def test_reference_regulus_triples(self, reference_pairs):
         s1, _ = reference_pairs[0]
-        assert reguli(s1) == ((0, 2, 8), (1, 3, 8), (4, 6, 8), (5, 7, 8))
+        assert classify(s1).reguli == ((0, 2, 8), (1, 3, 8), (4, 6, 8), (5, 7, 8))
         s1_5, _ = reference_pairs[4]
-        assert reguli(s1_5) == ((0, 6, 8), (1, 7, 8), (2, 4, 8), (3, 5, 8))
+        assert classify(s1_5).reguli == ((0, 6, 8), (1, 7, 8), (2, 4, 8), (3, 5, 8))
 
     def test_table_lookup_matches_rank_oracle(self, reference_pairs, sample_spreads):
         spreads = [s for pair in reference_pairs for s in pair]
         spreads += sample_spreads(200, 4)
         tags = set()
         for s in spreads:
-            assert reguli(s) == rank_four_reguli(s)
+            assert classify(s).reguli == rank_four_reguli(s)
             tags.add(classify(s).tag)
         assert tags == {"X", "E", "IDelta"}
 
     def test_opposite_regulus(self, reference_pairs):
         s1, _ = reference_pairs[0]
         lines = tables().lines
-        for t in reguli(s1):
+        for t in classify(s1).reguli:
             reg = [s1.line_ids[i] for i in t]
             opp = _opposite_regulus_ids(reg)
             # transversals meet every original line in exactly one point
@@ -252,7 +252,7 @@ class TestReguli:
 
     def test_opposite_regulus_rejects_non_regulus(self, reference_pairs):
         s1, _ = reference_pairs[0]
-        i, j = [k for k in range(9) if k not in reguli(s1)[0]][:2]
+        i, j = [k for k in range(9) if k not in classify(s1).reguli[0]][:2]
         with pytest.raises(SpreadAnomaly, match="transversals"):
             _opposite_regulus_ids([s1.line_ids[i], s1.line_ids[j], s1.line_ids[0]])
 
@@ -321,11 +321,11 @@ class TestClassify:
     def test_classified_once_per_object(self, reference_pairs, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            spreads, "reguli", lambda s, f=reguli: calls.append(s) or f(s)
+            spreads, "_classify", lambda ids, f=_classify: calls.append(ids) or f(ids)
         )
         s = Spread.from_line_ids(reference_pairs[0][0].line_ids)
         assert classify(s) is classify(s)
-        assert calls == [s]
+        assert calls == [s.line_ids]
 
     def test_all_three_types_reachable(self, sample_spreads):
         seen = set()
