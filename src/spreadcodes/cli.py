@@ -21,7 +21,6 @@ import errno
 import functools
 import hashlib
 import io
-import itertools
 import json
 import os
 import stat
@@ -227,10 +226,9 @@ def cmd_doubling(args):
     if args.search_db:
         db = load_spread_file(args.search_db)
         pairs = optimal_pairs(db, tuple(args.filter or ("X", "X")))
-        out = [
-            _pair_report(db[i], db[j])
-            for i, j in itertools.islice(pairs, args.limit)
-        ]
+        if args.limit is not None:  # a range, unlike islice, takes any int
+            pairs = (p for _, p in zip(range(args.limit), pairs))
+        out = [_pair_report(db[i], db[j]) for i, j in pairs]
         _emit(args, json.dumps(out, indent=2) + "\n")
         return 0
     s1s = load_spread_file(args.file1)

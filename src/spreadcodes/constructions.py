@@ -30,7 +30,6 @@ from .spreads import (
     SpreadError,
     _disjoint,
     _opposite_regulus_ids,
-    _regulus_solids,
     classify,
     is_regulus,
     verify_regulus_free_extension,
@@ -294,19 +293,20 @@ class HKKPatternReport(NamedTuple):
             self.ninth_pattern in HKK_NINTH_PATTERNS
             and all(p in HKK_OTHER_PATTERNS for p in self.other_patterns)
             and self.ninth_meets_common
-            and self.s1_tag == "X"
-            and self.s2_tag == "X"
             and self.regulus_free
             and self.planes_disjoint_from_l2
         )
 
 
 def hkk_pattern_check(result: HKKResult) -> HKKPatternReport:
-    """Profile an HKK code: ninth-plane pattern, other patterns, structure."""
+    """Profile an HKK code: ninth-plane pattern, other patterns, structure.
+    Both spreads must be of type X, or SpreadAnomaly names their types."""
     code = result.code
     s1 = code.s1
     t1 = classify(s1)
     t2 = classify(code.s2)
+    if (t1.tag, t2.tag) != ("X", "X"):
+        raise SpreadAnomaly(f"HKK code of spread types {t1.tag}/{t2.tag}, not X/X")
     pats = [intersection_pattern(pl, s1) for pl in code.planes]
     ninth = pats[8]
     t = tables()  # α9 is the plane of the common line and the 4 holes
@@ -423,19 +423,11 @@ class CPSConfig(NamedTuple):
 
 
 def _completing_reguli(l1):
-    """Regulus triples of line ids disjoint from the 6 orbit line ids
-    ``l1``, ascending; the candidates are the AND of the orbit lines'
-    ``adjacency`` rows."""
-    adj = tables().adjacency
-    cand = (1 << N_LINES) - 1
-    for i in l1:
-        cand &= adj[i]
-    ids = [i for i in range(N_LINES) if cand >> i & 1]
-    ls = tables().line_solids
-    for a, b, c in itertools.combinations(ids, 3):
-        disjoint = adj[a] >> b & 1 and (adj[a] & adj[b]) >> c & 1
-        if disjoint and _regulus_solids((ls[a], ls[b], ls[c]))[1]:
-            yield a, b, c
+    """Regulus triples (``is_regulus``) of line ids disjoint from the 6 orbit
+    line ids ``l1``, ascending; the candidates are the AND of the orbit
+    lines' ``adjacency`` rows."""
+    cand = functools.reduce(int.__and__, (tables().adjacency[i] for i in l1))
+    return filter(is_regulus, itertools.combinations(_bits(cand), 3))
 
 
 @functools.cache

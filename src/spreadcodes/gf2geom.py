@@ -39,23 +39,21 @@ __all__ = [
 def rref(vectors) -> tuple:
     """Canonical reduced-row-echelon basis of the span of ``vectors``.
 
-    Pivot of each row is its lowest set bit; rows are back-eliminated and
-    sorted by pivot, so equal subspaces always produce identical tuples.
+    The pivot of each row is its lowest set bit, set in no other row.  The
+    rows stay reduced as each vector joins: it is reduced by the rows, and
+    if it is nonzero its pivot is cleared from the rows that hold it.  One
+    sort by pivot at the end makes equal subspaces give identical tuples.
     """
-    basis = []
+    rows = []
     for v in vectors:
-        for b in basis:
+        for b in rows:
             if v & (b & -b):
                 v ^= b
         if v:
-            basis.append(v)
-            basis.sort(key=lambda x: x & -x)
-    out = sorted(basis, key=lambda x: x & -x)
-    for i in range(len(out)):
-        for j in range(len(out)):
-            if i != j and out[j] & (out[i] & -out[i]):
-                out[j] ^= out[i]
-    return tuple(sorted(out, key=lambda x: x & -x))
+            p = v & -v
+            rows = [b ^ v if b & p else b for b in rows]
+            rows.append(v)
+    return tuple(sorted(rows, key=lambda x: x & -x))
 
 
 def rank(vectors) -> int:

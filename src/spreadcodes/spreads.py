@@ -251,7 +251,7 @@ def _opposite_regulus_ids(ids) -> tuple:
         meet &= ~adj[i]
     if meet.bit_count() != 3:
         raise SpreadAnomaly(f"regulus with {meet.bit_count()} transversals")
-    return tuple(i for i in range(N_LINES) if meet >> i & 1)
+    return _bits(meet)
 
 
 def dual_spread(s: Spread) -> tuple:
@@ -282,8 +282,12 @@ def verify_regulus_free_extension(ids8: Sequence[int], plane: int) -> bool:
 
     Preconditions: 8 pairwise-disjoint lines (ids in ``tables().lines``)
     whose union, together with the plane (an id in ``tables().planes``),
-    partitions the 31 points.  Returns True iff the 8 lines contain no
-    regulus and *every* line of the plane extends them to a type-X spread.
+    partitions the 31 points, both checked on one cover mask of the 8 lines,
+    else SpreadError: they are disjoint iff it has 25 bits (24 points and
+    the zero vector), and then partition the points with the plane iff it
+    shares only bit 0 with the plane's mask, as 24 + 7 = 31.  Returns True
+    iff the 8 lines contain no regulus and *every* line of the plane
+    extends them to a type-X spread.
 
     With no regulus in the 8 lines, each regulus of the 8 plus a line k is k
     and two of the 8 in a solid: k is the common line (type X) iff it lies in
@@ -292,17 +296,14 @@ def verify_regulus_free_extension(ids8: Sequence[int], plane: int) -> bool:
     """
     if len(ids8) != 8:
         raise ValueError("need exactly 8 lines")
-    if not _disjoint(ids8):
-        raise SpreadError("the 8 lines are not pairwise disjoint")
     t = tables()
-    plane_mask = t.planes[plane].mask
     cover = 1
     for i in ids8:
-        if (t.lines[i].mask & plane_mask) != 1:
-            raise SpreadError("a line meets the plane; not a partition")
         cover |= t.lines[i].mask
-    if (cover | plane_mask) != (1 << 32) - 1:
-        raise SpreadError("lines and plane do not partition the point set")
+    if cover.bit_count() != 25:
+        raise SpreadError("the 8 lines are not pairwise disjoint")
+    if cover & t.planes[plane].mask != 1:
+        raise SpreadError("a line meets the plane; not a partition")
 
     twos, three = _regulus_solids([t.line_solids[i] for i in ids8])
     if three:

@@ -131,15 +131,26 @@ class TestExitCodes:
                 ["hkk", "--limit", "1"],
                 "rank distance below 2 in Gabidulin code",
             ),
+            (
+                "hkk_build",
+                lambda **kw: (
+                    constructions.HKKResult(code, None, None)
+                    for code, _ in cps_build(variant="basic")
+                    if classify(code.s1).tag == "E"
+                ),
+                ["hkk"],
+                "HKK code of spread types E/X, not X/X",
+            ),
         ],
-        ids=["cps-group", "gabidulin"],
+        ids=["cps-group", "gabidulin", "hkk-non-x"],
     )
     def test_failed_construction_certificate_is_3(
         self, monkeypatch, capsys, name, fake, argv, text
     ):
         """A construction whose own check fails (every CPS matrix the
-        identity, every Gabidulin matrix zero) ends in exit 3 with one line
-        on stderr, not in a traceback."""
+        identity, every Gabidulin matrix zero, an HKK code whose first spread
+        is not of type X: the ``basic`` CPS codes with an E first spread)
+        ends in exit 3 with one line on stderr, not in a traceback."""
         caches = (constructions.build_lifted_gabidulin, constructions.cps_orbits)
         monkeypatch.setattr(constructions, name, fake)
         for cached in caches:
@@ -523,6 +534,30 @@ class TestLimitZero:
     @pytest.mark.parametrize("build", [hkk_build, cps_build])
     def test_generator_yields_nothing(self, build):
         assert list(build(limit=0)) == []
+
+
+class TestLimitAboveMaxsize:
+    """A ``--limit`` above ``sys.maxsize`` lists every item, as no limit does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "lines"],
+            ["hkk"],
+            ["cps"],
+            ["census", "--exhaustive"],
+            ["doubling", "--search-db", "DB"],
+        ],
+        ids=["enumerate", "hkk", "cps", "census", "search-db"],
+    )
+    def test_command_prints_every_item(self, db_file, capsys, argv):
+        argv = [str(db_file) if a == "DB" else a for a in argv]
+        assert cli.main(argv) == 0
+        unlimited = capsys.readouterr().out
+        limit = 99999999999999999999
+        assert limit > sys.maxsize
+        assert cli.main(argv + ["--limit", str(limit)]) == 0
+        assert capsys.readouterr().out == unlimited
 
 
 class TestVerifyPaper:

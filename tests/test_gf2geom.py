@@ -92,6 +92,24 @@ class TestRref:
             if set(alt.points()) == set(s.points()):
                 assert alt.basis == s.basis
 
+    def test_reduced_rows_span_the_input(self):
+        """On seeded vector lists with zeros and repeats, n <= 8: the rows
+        are sorted by pivot, each pivot (its row's lowest bit) is set in no
+        other row, the rows span what the input spans, and a shuffled input
+        gives the same tuple."""
+        rng = random.Random(25)
+        for _ in range(1000):
+            n = rng.randint(1, 8)
+            vs = [rng.randrange(1 << n) for _ in range(rng.randint(0, 8))]
+            vs += [0] * rng.randint(0, 2) + rng.choices(vs, k=min(len(vs), 2))
+            rows = rref(vs)
+            pivots = [b & -b for b in rows]
+            assert 0 not in pivots and pivots == sorted(set(pivots))
+            assert all(sum(bool(b & p) for b in rows) == 1 for p in pivots)
+            assert set(span(rows)) == set(span(vs))
+            rng.shuffle(vs)
+            assert rref(vs) == rows
+
     def test_span_size(self):
         rng = random.Random(8)
         for _ in range(200):

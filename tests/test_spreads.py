@@ -421,8 +421,25 @@ class TestRegulusFreeExtension:
 
     def test_non_partition_rejected(self, reference_pairs):
         s1, _ = reference_pairs[0]
-        with pytest.raises(SpreadError):  # the dual plane of line 1 meets it
+        text = "^a line meets the plane; not a partition$"
+        # the dual plane of line 1 meets it
+        with pytest.raises(SpreadError, match=text):
             verify_regulus_free_extension(s1.line_ids[:8], s1.line_ids[0])
+
+    def test_intersecting_lines_rejected(self, reference_pairs):
+        """Of 8 lines and the plane they leave, swap the last line for one
+        that meets the first: the disjointness error, whether or not the
+        new line also meets the plane."""
+        s1, _ = reference_pairs[0]
+        rest, plane = _minus_line(s1, classify(s1).distinguished)
+        lines = tables().lines
+        k = next(
+            k for k, l in enumerate(lines)
+            if (l.mask & lines[rest[0]].mask).bit_count() == 2
+        )
+        text = "^the 8 lines are not pairwise disjoint$"
+        with pytest.raises(SpreadError, match=text):
+            verify_regulus_free_extension([*rest[:7], k], plane)
 
     def test_agrees_with_classify_oracle_on_hkk_codes(self):
         """The (8 lines, α9) input of every first-fit HKK code, α9 the join
@@ -432,6 +449,9 @@ class TestRegulusFreeExtension:
             s1 = res.code.s1
             st = classify(s1)
             assert st.distinguished == 8
+            # S2's common line is stored last too: hkk_pattern_check's
+            # pats[8] is the census's ninth plane, the dual of that line
+            assert classify(res.code.s2).distinguished == 8
             alpha9 = join(s1.lines[8], Subspace(holes(s1), 5))
             inputs[s1.key] = (s1.line_ids[:8], tables().plane_id[alpha9.mask])
         assert len(inputs) > 1
