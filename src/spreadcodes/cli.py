@@ -139,13 +139,11 @@ def _tabulate(rows, header, fmt):
 def cmd_enumerate(args):
     dims = {"points": 1, "lines": 2, "planes": 3, "solids": 4}
     subs = enumerate_subspaces(5, dims[args.kind])
-    rows = []
-    for i, s in enumerate(subs):
-        if args.limit is not None and i >= args.limit:
-            break
-        gens = ",".join(format_point(v) for v in s.basis)
-        bits = " ".join(point_to_bitstring(v) for v in s.basis)
-        rows.append((i, gens, bits))
+    rows = [
+        (i, ",".join(map(format_point, s.basis)),
+         " ".join(map(point_to_bitstring, s.basis)))
+        for i, s in enumerate(subs[: args.limit])
+    ]
     text = _tabulate(rows, ("id", "generators", "basis_bits"), args.format)
     text += f"total: {len(subs)}\n" if args.format == "text" else ""
     _emit(args, text)

@@ -409,16 +409,13 @@ def cps_orbits() -> CPSOrbits:
 
 
 class CPSConfig(NamedTuple):
-    """One CPS code's ingredients, as ids of ``tables()``: a line by its
-    line id, a plane by the line id of its dual line."""
+    """A CPS code's variant, N and replaced plane index (``replace_plane``).
+    The rest is in the code: ``code.s1.line_ids`` is the good line orbit L1,
+    then its completing regulus (R2; R1 for ``swap_reguli``), and
+    ``code.s2.line_ids`` the good plane orbit P1, then the 3 other planes."""
 
     variant: str
-    line_orbit: tuple  # the 6 good-orbit lines (L1)
-    plane_orbit: tuple  # the 6 good-orbit planes (P1)
-    regulus_r1: tuple  # the regulus whose lines span the non-orbit planes
-    opposite_r2: tuple  # its opposite; completes L1 to the line spread
     point_n: int
-    plane_set: tuple  # the 3 non-orbit planes actually used
     replaced_index: Optional[int] = None
 
 
@@ -451,6 +448,8 @@ def cps_build(
     ``replace_plane``: basic, with one non-orbit plane replaced by another
     plane through the same regulus line that is not inside the regulus'
     carrier solid.
+    Over GF(2) a good line orbit has two completing reguli, each the other's
+    opposite, so ``swap_reguli`` emits ``basic``'s codes, each pair swapped.
 
     Codes are emitted in deterministic order (line orbit, regulus, N,
     plane orbit, then replacement choices); only configurations whose
@@ -514,8 +513,7 @@ def cps_build(
                         s2 = Spread.from_line_ids(p1 + pset)
                         if not validate_doubling(s1, s2).optimal:
                             continue
-                        cfg = CPSConfig(variant, l1, p1, r1, r2, n, pset, replaced)
-                        yield DoublingCode(s1, s2), cfg
+                        yield DoublingCode(s1, s2), CPSConfig(variant, n, replaced)
                         emitted += 1
 
 

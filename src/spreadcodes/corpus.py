@@ -13,6 +13,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .spreadfile import parse_spread_text
+from .spreads import SpreadAnomaly
 
 __all__ = ["pair", "EXPECTED"]
 
@@ -40,5 +41,5 @@ def pair(n: int) -> tuple:
     )
     spreads = parse_spread_text(text)
     if len(spreads) != 2:
-        raise RuntimeError(f"corpus pair {n} must hold exactly 2 spreads")
+        raise SpreadAnomaly(f"corpus pair {n} must hold exactly 2 spreads")
     return spreads[0], spreads[1]

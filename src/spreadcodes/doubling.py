@@ -367,6 +367,16 @@ def spread_orbits() -> tuple:
     return tuple(orbits)
 
 
+@functools.cache
+def _partner_census(s1: Spread) -> PatternCensus:
+    """The census of ``s1`` against its partners, once per process: the
+    type-X spreads (typed by `spreads._classify` before any ``Spread`` is
+    built) of lines outside ``s1.perp_bits``, as orthogonality is symmetric."""
+    rows = _clique_extend(tables().adjacency, [], (1 << N_LINES) - 1 & ~s1.perp_bits)
+    partners = (Spread.from_line_ids(r) for r in rows if _classify(r).tag == "X")
+    return pattern_census((s1, s2) for s2 in partners)
+
+
 def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     """Census over every ordered optimal (X,X) pair, by symmetry.
 
@@ -382,9 +392,7 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     of S1) onto those of g S1, and all S1 in one orbit have the same
     histogram.  `spread_orbits` gives the one orbit of type-X spreads and
     its size without enumerating it, so the census of n first spreads is
-    the histogram of its representative times n.  Each candidate partner
-    row is typed on its line ids (`spreads._classify`), and only the
-    type-X rows become ``Spread`` objects.
+    the histogram of its representative (`_partner_census`) times n.
 
     ``limit`` takes only the first ``limit`` type-X spreads as S1 (for
     smoke tests); by default all of them.
@@ -396,12 +404,7 @@ def exhaustive_xx_census(limit: Optional[int] = None) -> PatternCensus:
     n = n_x if limit is None else max(0, min(limit, n_x))
     if not n:
         return PatternCensus({})
-    # a line of S1 lies in the dual plane of line j iff line j lies in
-    # the dual plane of that line (orthogonality is symmetric), so the
-    # partners are the type-X spreads of lines outside ``s1.perp_bits``
-    rows = _clique_extend(tables().adjacency, [], (1 << N_LINES) - 1 & ~s1.perp_bits)
-    partners = (Spread.from_line_ids(r) for r in rows if _classify(r).tag == "X")
-    one = pattern_census((s1, s2) for s2 in partners)
+    one = _partner_census(s1)
     return PatternCensus(
         {key: c * n for key, c in one.histogram.items()}, one.pair_count * n, n
     )

@@ -15,8 +15,8 @@ the all-ones vector.  For example ``25`` is ``01001`` and ``3u`` is
 
 from __future__ import annotations
 
+import functools
 import itertools
-from functools import lru_cache
 
 __all__ = [
     "Subspace",
@@ -132,10 +132,6 @@ class Subspace:
     def __hash__(self):
         return hash((self.n, self.basis))
 
-    def __lt__(self, other: "Subspace") -> bool:
-        _check_ambient(self, other)
-        return self.basis < other.basis
-
     def __repr__(self):
         gens = ",".join(format_point(v, self.n) for v in self.basis)
         return f"Subspace({self.n}, <{gens}>)"
@@ -223,12 +219,15 @@ def rref_bases(n: int, k: int) -> list:
                 if bits >> idx & 1:
                     rows[r] |= 1 << c
             out.append(tuple(rows))
-    assert len(out) == gaussian_binomial(n, k)
+    if len(out) != (want := gaussian_binomial(n, k)):
+        from .spreads import SpreadAnomaly  # spreads imports this module
+
+        raise SpreadAnomaly(f"{len(out)} {k}-subspaces of GF(2)^{n}, not {want}")
     out.sort()
     return out
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def enumerate_subspaces(n: int, k: int):
     """All k-dimensional subspaces of GF(2)^n, each exactly once, sorted
     by canonical basis, which fixes a deterministic ID order used
@@ -240,43 +239,40 @@ def enumerate_subspaces(n: int, k: int):
 # compact point notation
 
 
-def _generators(n: int):
-    gens = [(str(i + 1), 1 << i) for i in range(n)]
-    gens.append(("u", (1 << n) - 1))
-    return gens
+@functools.cache
+def _generators(n: int) -> dict:
+    """Symbol to vector: the one table that parse_point and format_point read."""
+    return {**{str(i + 1): 1 << i for i in range(n)}, "u": (1 << n) - 1}
 
 
 def parse_point(token: str, n: int = 5) -> int:
     """Parse a compact point token such as ``25`` or ``3u``.
 
-    The token is a nonempty string over {1..n, u} with no repeated symbol;
-    its value is the mod-2 sum of the named generators, which must not be
-    the zero vector (``12345u`` sums to it), so that it is the inverse of
-    ``format_point``.
+    The token is a nonempty string of symbols of `_generators` (n) with
+    none repeated; its value is the mod-2 sum of the named generators,
+    which must not be the zero vector (``12345u`` sums to it), so that it
+    is the inverse of ``format_point``.
     """
     if not token:
         raise ValueError("empty point token")
     if len(set(token)) != len(token):
         raise ValueError(f"repeated symbol in point token {token!r}")
+    gens = _generators(n)
     v = 0
     for ch in token:
-        if ch == "u":
-            v ^= (1 << n) - 1
-        elif ch.isdigit() and 1 <= int(ch) <= n:
-            v ^= 1 << (int(ch) - 1)
-        else:
+        if ch not in gens:
             raise ValueError(f"unknown symbol {ch!r} in point token {token!r}")
+        v ^= gens[ch]
     if not v:
         raise ValueError(f"point token {token!r} is the zero vector")
     return v
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _format_table(n: int):
-    gens = _generators(n)
     table = {}
     for size in (1, 2, 3):
-        for combo in itertools.combinations(gens, size):
+        for combo in itertools.combinations(_generators(n).items(), size):
             v = 0
             for _, g in combo:
                 v ^= g

@@ -152,11 +152,9 @@ def _disjoint(ids) -> bool:
 
 
 def holes(s: Spread) -> tuple:
-    """The 4 points covered by no line of the spread, ascending."""
-    out = _bits(s.hole_mask)
-    if len(out) != 4:
-        raise SpreadAnomaly(f"expected 4 holes, found {len(out)}")
-    return out
+    """The 4 points covered by no line of the spread, ascending; its 9
+    lines cover 27 points, as ``Spread.from_line_ids`` checks."""
+    return _bits(s.hole_mask)
 
 
 def is_regulus(ids: Sequence[int]) -> bool:

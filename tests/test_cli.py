@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 import spreadcodes
-from spreadcodes import cli, constructions, corpus
+from spreadcodes import cli, constructions, corpus, gf2geom
 from spreadcodes.constructions import cps_build, hkk_build
 from spreadcodes.doubling import PatternCensus, validate_doubling
 from spreadcodes.spreads import _classify, classify
@@ -95,11 +95,35 @@ class TestExitCodes:
         assert "parse error: line 1: non-ASCII byte 0xc3" in capsys.readouterr().err
 
     def test_invariant_violation_is_3(self, monkeypatch, capsys):
+        """A corpus pair that is not as expected, a corpus file that does not
+        hold 2 spreads, and a subspace count that is not the Gaussian
+        binomial each end in exit 3 with one line on stderr."""
         wrong = dict(corpus.EXPECTED)
         wrong[1] = dict(wrong[1], ninth_pattern=(3, 3, 3, 1))
         monkeypatch.setattr(corpus, "EXPECTED", wrong)
         assert cli.main(["verify-paper"]) == 3
         assert "invariant violation" in capsys.readouterr().err
+        monkeypatch.undo()
+
+        parse = corpus.parse_spread_text
+        monkeypatch.setattr(corpus, "parse_spread_text", lambda text: parse(text) * 2)
+        assert cli.main(["verify-paper"]) == 3
+        assert capsys.readouterr().err == (
+            "invariant violation: corpus pair 1 must hold exactly 2 spreads\n"
+        )
+        monkeypatch.undo()
+
+        count = gf2geom.gaussian_binomial
+        monkeypatch.setattr(gf2geom, "gaussian_binomial", lambda n, k: count(n, k) + 1)
+        gf2geom.enumerate_subspaces.cache_clear()
+        try:
+            assert cli.main(["enumerate", "solids"]) == 3
+        finally:
+            monkeypatch.undo()
+            gf2geom.enumerate_subspaces.cache_clear()
+        assert capsys.readouterr().err == (
+            "invariant violation: 31 4-subspaces of GF(2)^5, not 32\n"
+        )
 
     def test_census_violation_is_3(self, monkeypatch, db_file, capsys):
         """A census with a plane of the eliminated pattern prints its table,

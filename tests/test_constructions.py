@@ -343,6 +343,16 @@ class TestCPSBuild:
             for code, _ in out
         )
         assert tally == Counter({("X", "E", True): 4, ("E", "X", True): 4})
+        # over GF(2) each good line orbit has exactly two completing reguli,
+        # each the other's opposite, so this variant emits the codes of
+        # ``basic``, each orbit's pair in the other order
+        basic, swapped = (
+            [(c.s1.line_ids, c.s2.line_ids, cfg.point_n, cfg.replaced_index)
+             for c, cfg in codes]
+            for codes in (cps_build("basic"), out)
+        )
+        assert sorted(swapped) == sorted(basic)
+        assert [basic.index(r) for r in swapped] == [1, 0, 3, 2, 5, 4, 7, 6]
 
     def test_replace_plane_variant(self):
         out = list(cps_build("replace_plane"))

@@ -394,6 +394,20 @@ class TestExhaustiveCensus:
         assert census.violations == []
         assert census.plane_count == 9 * census.pair_count
 
+    def test_partner_census_runs_once_per_process(self, monkeypatch):
+        # the representative's census is cached: a second call, with another
+        # limit, scales it again without a pattern census of its own
+        first = exhaustive_xx_census(limit=1)
+        calls = []
+        real = doubling.pattern_census
+        monkeypatch.setattr(
+            doubling, "pattern_census", lambda pairs: calls.append(1) or real(pairs)
+        )
+        again = exhaustive_xx_census(limit=2)
+        assert calls == []
+        assert again.pair_count == 2 * first.pair_count
+        assert again.histogram == {k: 2 * c for k, c in first.histogram.items()}
+
     @pytest.mark.slow
     def test_x_rows_of_the_enumeration_are_the_orbit_of_the_representative(
         self, bulk
@@ -564,4 +578,6 @@ class TestExhaustiveCensus:
                 assert "invariant violation" in capsys.readouterr().err
                 monkeypatch.undo()
         finally:
-            doubling.spread_orbits.cache_clear()  # drop the faked orbits
+            # drop the faked orbits, and any census typed by a faked classify
+            doubling.spread_orbits.cache_clear()
+            doubling._partner_census.cache_clear()

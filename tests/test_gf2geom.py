@@ -63,6 +63,11 @@ class TestPointNotation:
             parse_point("9")
         with pytest.raises(ValueError):
             parse_point("x")
+        # digits other than the ASCII symbols of the table: an Arabic-Indic
+        # three and a superscript two
+        for token in ("\u0663", "\u00b2"):
+            with pytest.raises(ValueError, match="unknown symbol"):
+                parse_point(token)
         # tokens that sum to 0, which format_point has no token for either
         for token, n in (("12345u", 5), ("u54321", 5), ("123456u", 6)):
             with pytest.raises(ValueError, match=f"{token!r} is the zero vector"):

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used or re-exported, every
-name it exports is read by the program, no module imports ``dataclasses``,
-and none names ``AssertionError``."""
+name it exports is read by the program, every field of its ``NamedTuple``
+records is read, no module imports ``dataclasses``, and none names
+``AssertionError`` or holds an ``assert``."""
 
 import ast
 import json
@@ -162,6 +163,46 @@ def test_detects_an_export_only_tests_read():
     assert _unread_exports(src, readers) == ["rec", "span", "twin"]
 
 
+def _unread_fields(sources, readers) -> list:
+    """(class, field) for each field of a ``NamedTuple`` class in ``sources``
+    that no text of ``readers`` reads as an attribute (``x.field``): a field
+    nothing reads is a copy of a fact held elsewhere, or no fact at all."""
+    read = {
+        node.attr
+        for text in readers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (node.name, stmt.target.id)
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+    )
+
+
+def test_every_namedtuple_field_is_read():
+    readers = SOURCES + sorted((ROOT / "bench").glob("*.py"))
+    readers += sorted((ROOT / "tests").glob("*.py"))
+    assert _unread_fields(
+        [p.read_text(encoding="utf-8") for p in SOURCES],
+        [p.read_text(encoding="utf-8") for p in readers],
+    ) == []
+
+
+def test_detects_an_unread_field():
+    src = (
+        "class A(NamedTuple):\n    x: int\n    y: int = 0\n    TAGS = ('a',)\n"
+        "class B:\n    z: int\n"
+    )
+    # a store, a keyword and a name of the same spelling are no reads
+    readers = ["a.x\nb.w\n", "a.y = 1\nA(y=2)\ny = 3\n"]
+    assert _unread_fields([src], readers) == [("A", "y")]
+
+
 def _dataclass_imports(source: str) -> list:
     """Lines of ``source`` that import ``dataclasses``: it loads ``inspect``,
     ``ast`` and ``dis`` at the start of every command, so records are
@@ -187,12 +228,14 @@ def test_detects_a_dataclasses_import():
 
 
 def _assertion_errors(source: str) -> list:
-    """Lines of ``source`` that name ``AssertionError``: a failed invariant
-    is a ``SpreadAnomaly``, which the command line reports with exit 3."""
+    """Lines of ``source`` that name ``AssertionError`` or hold an
+    ``assert``, which ``python -O`` drops: a failed invariant is a
+    ``SpreadAnomaly``, which the command line reports with exit 3."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Name) and node.id == "AssertionError"
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "AssertionError"
     )
 
 
@@ -211,7 +254,7 @@ def test_detects_an_assertion_error():
         "except AssertionError:\n"
         "    pass\n"
     )
-    assert _assertion_errors(src) == [3, 6]
+    assert _assertion_errors(src) == [1, 3, 6]
 
 
 # a fresh interpreter: this one has numpy and every module loaded
