@@ -5,6 +5,7 @@ Subpackages:
 * :mod:`spreadcodes.gf2geom` -- exact GF(2) linear algebra and duality
 * :mod:`spreadcodes.spreads` -- maximal partial line spreads, reguli, types
 * :mod:`spreadcodes.doubling` -- doubling codes and the pattern census
+* :mod:`spreadcodes.orbits` -- GL(5,2) orbits of spreads, loaded by the census
 * :mod:`spreadcodes.constructions` -- HKK and CPS construction pipelines
 * :mod:`spreadcodes.cli` -- command-line front end
 """

@@ -39,8 +39,7 @@ from .doubling import (
     validate_doubling,
 )
 from .gf2geom import enumerate_subspaces, format_point, point_to_bitstring
-from .spreads import Spread, SpreadAnomaly, classify, holes
-from .spreadfile import ParseError, load_spread_file
+from .spreads import ParseError, Spread, SpreadAnomaly, classify, holes
 
 USAGE_ERROR, PARSE_ERROR, INVARIANT_ERROR = 1, 2, 3
 
@@ -170,6 +169,8 @@ def _spread_record(s: Spread) -> dict:
 
 
 def cmd_classify(args):
+    from .spreadfile import load_spread_file
+
     spreads = load_spread_file(args.file)
     recs = [_spread_record(s) for s in spreads]
     if args.format == "json":
@@ -221,6 +222,8 @@ def _pair_report(s1: Spread, s2: Spread):
 
 
 def cmd_doubling(args):
+    from .spreadfile import load_spread_file
+
     if args.search_db:
         db = load_spread_file(args.search_db)
         pairs = optimal_pairs(db, tuple(args.filter or ("X", "X")))
@@ -264,6 +267,8 @@ def cmd_census(args):
     if args.exhaustive:
         census = exhaustive_xx_census(limit=args.limit)
     else:
+        from .spreadfile import load_spread_file
+
         db = load_spread_file(args.db)
         census = pattern_census((db[i], db[j]) for i, j in optimal_pairs(db))
     violations = census.violations

@@ -22,7 +22,7 @@ import itertools
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .doubling import DoublingCode, intersection_pattern, validate_doubling
-from .gf2geom import Subspace, _bits, enumerate_subspaces, rref_bases, span
+from .gf2geom import Subspace, _bits, _line_masks, rref_bases, span
 from .pg42 import N_LINES, tables
 from .spreads import (
     Spread,
@@ -98,9 +98,12 @@ def _far(a: int, b: int) -> bool:
 def build_lifted_gabidulin() -> LiftedGabidulinCode:
     """Construct the lifted (6,3,2) Gabidulin code, deterministic order.
 
-    Message coefficients (a0, a1) run lexicographically over GF(8)^2.  The
+    Message coefficients (a0, a1) run lexicographically over GF(8)^2; the
+    lift [I3 | M] of a matrix M is already a canonical basis.  The
     rank-distance >= 2 property is checked exhaustively on the lifts, as
-    d_S(lift A, lift B) = 2 d_R(A, B): every pair of codewords is ``_far``.
+    d_S(lift A, lift B) = 2 d_R(A, B): every pair of codewords is ``_far``,
+    that is no two share a line, so the 64 codewords hold 64 * 7 = 448
+    distinct lines.
     """
     matrices = []
     codewords = []
@@ -108,13 +111,13 @@ def build_lifted_gabidulin() -> LiftedGabidulinCode:
         for a1 in range(8):
             rows = _gab_matrix(a0, a1)
             matrices.append(rows)
-            basis = [(1 << i) | (rows[i] << 3) for i in range(3)]
-            codewords.append(Subspace(basis, 6))
-    masks = [c.mask for c in codewords]
-    if not all(_far(a, b) for a, b in itertools.combinations(masks, 2)):
+            basis = tuple((1 << i) | (rows[i] << 3) for i in range(3))
+            codewords.append(Subspace.from_rref(basis, 6))
+    lines = {m for c in codewords for m in _line_masks(*c.basis)}
+    if len(lines) != 7 * len(codewords):
         raise SpreadAnomaly("rank distance below 2 in Gabidulin code")
-    special = Subspace((8, 16, 32), 6)
-    if any(m & special.mask != 1 for m in masks):
+    special = Subspace.from_rref((8, 16, 32), 6)
+    if any(c.mask & special.mask != 1 for c in codewords):
         raise SpreadAnomaly("Gabidulin codeword meets the special plane")
     return LiftedGabidulinCode(tuple(codewords), tuple(matrices), special)
 
@@ -162,8 +165,9 @@ class HKKConfig(NamedTuple):
 
 @functools.cache
 def _far_planes() -> tuple:
-    """The 99 planes of PG(5,2) far from every Gabidulin codeword, in
-    canonical-basis order (the order of ``enumerate_subspaces``).  The 64
+    """The 99 planes of PG(5,2) far from every Gabidulin codeword as
+    (canonical basis, point mask) pairs, in canonical-basis order (the
+    order of ``enumerate_subspaces``).  The 64
     codewords pairwise share no line and none meets the special plane S
     (``build_lifted_gabidulin`` checks both), so their 448 lines are the
     lines that miss S: a plane is far from them all iff it meets S in at
@@ -172,12 +176,31 @@ def _far_planes() -> tuple:
     a space of dimension 3 - dim(plane ∩ S): at most one may have it.  A
     plane other than S has the rows (v, a, b): (a, b) the RREF basis of its
     line in S, v any of 7 low parts plus 0 or the one bit of S that is no
-    pivot of a or b, so 7 * 7 * 2 = 98 planes."""
+    pivot of a or b, so 7 * 7 * 2 = 98 planes.  These rows are the RREF
+    basis: each pivot is set in its own row only."""
     out = [(8, 16, 32)]
     for a, b in rref_bases(3, 2):  # the lines of S, shifted down by 3 bits
         q = (7 ^ (a & -a) ^ (b & -b)) << 3
         out += [(v | h, a << 3, b << 3) for v in range(1, 8) for h in (0, q)]
-    return tuple(Subspace(b, 6) for b in sorted(out))
+    return _with_masks(sorted(out))
+
+
+@functools.cache
+def _hyperplanes() -> tuple:
+    """The 63 hyperplanes of PG(5,2) as (canonical basis, point mask) pairs,
+    in canonical-basis order."""
+    return _with_masks(rref_bases(6, 5))
+
+
+def _with_masks(bases) -> tuple:
+    """(basis, point mask) for each basis."""
+    return tuple((b, sum(1 << v for v in span(b))) for b in bases)
+
+
+@functools.cache
+def _subspace6(basis: tuple) -> Subspace:
+    """The subspace of GF(2)^6 with this canonical basis, built once."""
+    return Subspace.from_rref(basis, 6)
 
 
 def hkk_configs(mode: str = "first") -> Iterator[HKKConfig]:
@@ -194,18 +217,17 @@ def hkk_configs(mode: str = "first") -> Iterator[HKKConfig]:
     """
     if mode not in ("first", "all"):
         raise ValueError(f"unknown mode {mode!r}")
-    far = [(f, f.mask) for f in _far_planes()]
-    hyperplanes = [(h, h.mask) for h in enumerate_subspaces(6, 5)]
+    far = _far_planes()
     sm = build_lifted_gabidulin().special_plane.mask
     for p in range(1, 64):
         if sm >> p & 1:
             continue
         es = [(e, em) for e, em in far if em >> p & 1]
-        for h, hm in hyperplanes:
+        for h, hm in _hyperplanes():
             if (sm & ~hm) == 0 or hm >> p & 1:
                 continue
             valid = (
-                HKKConfig(p, h, e, ep)
+                HKKConfig(p, _subspace6(h), _subspace6(e), _subspace6(ep))
                 for ep, epm in far
                 if not epm & ~hm
                 for e, em in es
@@ -419,12 +441,13 @@ class CPSConfig(NamedTuple):
     replaced_index: Optional[int] = None
 
 
-def _completing_reguli(l1):
+@functools.cache
+def _completing_reguli(l1) -> tuple:
     """Regulus triples (``is_regulus``) of line ids disjoint from the 6 orbit
-    line ids ``l1``, ascending; the candidates are the AND of the orbit
-    lines' ``adjacency`` rows."""
+    line ids ``l1``, ascending, once per orbit and process; the candidates
+    are the AND of the orbit lines' ``adjacency`` rows."""
     cand = functools.reduce(int.__and__, (tables().adjacency[i] for i in l1))
-    return filter(is_regulus, itertools.combinations(_bits(cand), 3))
+    return tuple(filter(is_regulus, itertools.combinations(_bits(cand), 3)))
 
 
 @functools.cache

@@ -100,6 +100,18 @@ class Subspace:
         # rows are sorted by their lowest bit, so any row may hold the highest
         if max(basis, default=0) >> n:
             raise ValueError("vector outside ambient space")
+        self._fill(basis, n)
+
+    @classmethod
+    def from_rref(cls, basis: tuple, n: int) -> "Subspace":
+        """The subspace with ``basis``, which must already be ``rref``'s
+        output for GF(2)^n (as the rows of ``rref_bases`` are), without
+        reducing it again or checking it."""
+        s = cls.__new__(cls)
+        s._fill(basis, n)
+        return s
+
+    def _fill(self, basis: tuple, n: int):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "mask", sum(1 << v for v in span(basis)))
@@ -133,7 +145,8 @@ class Subspace:
         return hash((self.n, self.basis))
 
     def __repr__(self):
-        gens = ",".join(format_point(v, self.n) for v in self.basis)
+        fmt = format_point if self.n <= _NOTATION_MAX_N else point_to_bitstring
+        gens = ",".join(fmt(v, self.n) for v in self.basis)
         return f"Subspace({self.n}, <{gens}>)"
 
 
@@ -186,6 +199,14 @@ def subspace_distance(u: Subspace, v: Subspace) -> int:
     return u.dim + v.dim - 2 * dim_meet
 
 
+def _line_masks(a: int, b: int, c: int) -> tuple:
+    """The point masks of the 7 lines of the plane with basis (a, b, c):
+    the spans of (a, b), (a, c), (b, c), (a, b + c), (b, a + c), (c, a + b)
+    and (a + b, a + c), the 7 lines of a Fano plane."""
+    pairs = ((a, b), (a, c), (b, c), (a, b ^ c), (b, a ^ c), (c, a ^ b), (a ^ b, a ^ c))
+    return tuple(1 | 1 << x | 1 << y | 1 << (x ^ y) for x, y in pairs)
+
+
 def gaussian_binomial(n: int, k: int) -> int:
     """Number of k-dimensional subspaces of GF(2)^n."""
     num = den = 1
@@ -232,16 +253,26 @@ def enumerate_subspaces(n: int, k: int):
     """All k-dimensional subspaces of GF(2)^n, each exactly once, sorted
     by canonical basis, which fixes a deterministic ID order used
     everywhere else."""
-    return tuple(Subspace(b, n) for b in rref_bases(n, k))
+    return tuple(Subspace.from_rref(b, n) for b in rref_bases(n, k))
 
 
 # ---------------------------------------------------------------------------
 # compact point notation
 
 
+# one character per symbol, 1..9 and u, so a token reads back one way only
+_NOTATION_MAX_N = 9
+
+
 @functools.cache
 def _generators(n: int) -> dict:
-    """Symbol to vector: the one table that parse_point and format_point read."""
+    """Symbol to vector: the one table that parse_point and format_point
+    read; a ValueError for n above ``_NOTATION_MAX_N``, where ``10`` would be
+    both a symbol and a token of two."""
+    if not 1 <= n <= _NOTATION_MAX_N:
+        raise ValueError(
+            f"the point notation covers 1 <= n <= {_NOTATION_MAX_N}, not {n}"
+        )
     return {**{str(i + 1): 1 << i for i in range(n)}, "u": (1 << n) - 1}
 
 
@@ -270,27 +301,26 @@ def parse_point(token: str, n: int = 5) -> int:
 
 @functools.cache
 def _format_table(n: int):
+    """Point to token: the first of the fewest generators that sum to it
+    (at most 3 for n <= 6; n generators alone reach every point)."""
     table = {}
-    for size in (1, 2, 3):
+    for size in range(1, n + 1):
         for combo in itertools.combinations(_generators(n).items(), size):
             v = 0
             for _, g in combo:
                 v ^= g
             if v and v not in table:
                 table[v] = "".join(sym for sym, _ in combo)
-    return table
+        if len(table) == (1 << n) - 1:
+            return table
 
 
 def format_point(v: int, n: int = 5) -> str:
-    """Compact token for a point; shortest decomposition into ≤3 generators.
-
-    Falls back to the raw bitstring if no such decomposition exists (cannot
-    happen for n ≤ 6).
-    """
+    """Compact token for a point, which ``parse_point`` reads back: its
+    shortest decomposition into generators (``_format_table``)."""
     if not 0 < v < (1 << n):
         raise ValueError(f"not a point of GF(2)^{n}: {v}")
-    tok = _format_table(n).get(v)
-    return tok if tok is not None else point_to_bitstring(v, n)
+    return _format_table(n)[v]
 
 
 def point_to_bitstring(v: int, n: int = 5) -> str:

@@ -15,19 +15,11 @@ from typing import List
 
 from .gf2geom import parse_point, rank
 from .pg42 import tables
-from .spreads import Spread, SpreadError
+from .spreads import ParseError, Spread, SpreadError
 
 __all__ = ["ParseError", "parse_spread_text", "load_spread_file"]
 
 _GROUP = re.compile(r"\{([^{}]*)\}")
-
-
-class ParseError(ValueError):
-    """Malformed spread file; carries the 1-based source line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def _line_id(tokens, lineno: int, points: dict) -> int:

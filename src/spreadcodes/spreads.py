@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Spread",
     "SpreadError",
+    "ParseError",
     "SpreadAnomaly",
     "SpreadType",
     "is_regulus",
@@ -50,6 +51,17 @@ __all__ = [
 
 class SpreadError(ValueError):
     """Input does not satisfy the spread axioms."""
+
+
+class ParseError(ValueError):
+    """Malformed spread file; carries the 1-based source line number.  It is
+    defined here, not in the parser (`spreadfile`, which re-exports it), so
+    that the command line maps it to its exit code without loading the
+    parser."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
 
 
 class SpreadAnomaly(RuntimeError):

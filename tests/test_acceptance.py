@@ -33,7 +33,6 @@ from spreadcodes.doubling import (
     exhaustive_xx_census,
     intersection_pattern,
     min_distance,
-    spread_orbits,
     validate_doubling,
 )
 from spreadcodes.gf2geom import (
@@ -45,6 +44,7 @@ from spreadcodes.gf2geom import (
     rref,
     subspace_distance,
 )
+from spreadcodes.orbits import spread_orbits
 from spreadcodes.pg42 import N_LINES, tables
 from spreadcodes.spreads import _clique_extend, classify, classify_all
 

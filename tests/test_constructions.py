@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from spreadcodes import constructions
+from spreadcodes import cli, constructions
 from spreadcodes.constructions import (
     HKK_NINTH_PATTERNS,
     HKK_OTHER_PATTERNS,
@@ -32,6 +32,7 @@ from spreadcodes.gf2geom import (
 from spreadcodes.pg42 import tables
 from spreadcodes.spreads import (
     Spread,
+    SpreadAnomaly,
     _disjoint,
     _opposite_regulus_ids,
     classify,
@@ -81,6 +82,49 @@ class TestLiftedGabidulin:
         assert gab.special_plane.basis == (8, 16, 32)
         for c in gab.codewords:
             assert (c.mask & sm) == 1
+
+    def test_canonical_bases_match_the_reducing_constructor(self, gab):
+        """The codewords, the special plane, the 99 far planes and the 63
+        hyperplanes come from bases taken as canonical, without ``rref``:
+        each is what ``Subspace(basis, 6)`` builds, in basis and in mask."""
+        for s in gab.codewords + (gab.special_plane,):
+            want = Subspace(s.basis, 6)
+            assert (s.n, s.basis, s.mask) == (6, want.basis, want.mask)
+        for pairs in (constructions._far_planes(), constructions._hyperplanes()):
+            for basis, mask in pairs:
+                want = Subspace(basis, 6)
+                assert (basis, mask) == (want.basis, want.mask)
+        assert [b for b, _ in constructions._hyperplanes()] == [
+            h.basis for h in enumerate_subspaces(6, 5)
+        ]
+        # and the configurations carry the same objects as Subspace values
+        for cfg in itertools.islice(hkk_configs(mode="all"), 50):
+            for s in (cfg.h, cfg.e, cfg.e_prime):
+                want = Subspace(s.basis, 6)
+                assert (s.basis, s.mask) == (want.basis, want.mask)
+
+    def test_certificate_rejects_codewords_sharing_a_line(self, monkeypatch, capsys):
+        """A code whose message (0, 1) lifts to a plane that shares a line
+        with the lift of (0, 0), [I3 | 0], as M has rank 1: 447 distinct
+        lines.  The build raises SpreadAnomaly, and ``hkk`` exits 3 with one
+        line on stderr."""
+        real = constructions._gab_matrix
+
+        def rank_one_at_0_1(a0, a1):
+            return (1, 0, 0) if (a0, a1) == (0, 1) else real(a0, a1)
+
+        monkeypatch.setattr(constructions, "_gab_matrix", rank_one_at_0_1)
+        try:
+            build_lifted_gabidulin.cache_clear()
+            with pytest.raises(SpreadAnomaly, match="rank distance below 2"):
+                build_lifted_gabidulin()
+            assert cli.main(["hkk", "--limit", "1"]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["invariant violation: rank distance below 2 in Gabidulin code"]
+        finally:
+            monkeypatch.undo()
+            build_lifted_gabidulin.cache_clear()  # drop the faulty code
+        assert len(build_lifted_gabidulin().codewords) == 64
 
 
 class TestShorten:
@@ -163,7 +207,7 @@ class TestHKK:
             if all(subspace_distance(e, c) >= 4 for c in gab.codewords)
         ]
         assert len(want) == 99
-        assert list(constructions._far_planes()) == want
+        assert list(constructions._far_planes()) == [(e.basis, e.mask) for e in want]
 
     def test_far_plane_lemma_premises(self, gab):
         """The lemma behind ``_far_planes``: the codewords' lines are the 448
@@ -175,7 +219,7 @@ class TestHKK:
         assert len(missing) == 448
         for l in missing:
             assert sum(l <= c for c in gab.codewords) == 1
-        by_meet = Counter(meet(e, s) for e in constructions._far_planes())
+        by_meet = Counter(meet(Subspace(e, 6), s) for e, _ in constructions._far_planes())
         assert by_meet.pop(s) == 1
         assert len(by_meet) == 7
         assert all(m.dim == 2 and n == 14 for m, n in by_meet.items())
@@ -368,6 +412,29 @@ class TestCPSBuild:
 
     def test_limit_respected(self):
         assert len(list(cps_build("basic", limit=3))) == 3
+
+    def test_completing_reguli_searched_once_per_orbit(self, monkeypatch):
+        """Two full runs of every variant test the C(12, 3) = 220 candidate
+        triples of each of the 4 good line orbits once: 880 ``is_regulus``
+        calls in all, and each orbit keeps its 2 completing reguli."""
+        calls = []
+        real = constructions.is_regulus
+        monkeypatch.setattr(
+            constructions, "is_regulus", lambda ids: calls.append(ids) or real(ids)
+        )
+        constructions._completing_reguli.cache_clear()
+        try:
+            for _ in range(2):
+                for variant in ("basic", "swap_reguli", "replace_plane"):
+                    assert len(list(cps_build(variant))) > 0
+            assert len(calls) == 4 * 220
+            info = constructions._completing_reguli.cache_info()
+            assert (info.misses, info.currsize) == (4, 4)
+        finally:
+            constructions._completing_reguli.cache_clear()
+        orbits = cps_orbits()
+        for li in orbits.good_line_orbits:
+            assert len(constructions._completing_reguli(orbits.line_orbits[li])) == 2
 
     @pytest.fixture(scope="class")
     def visited(self):

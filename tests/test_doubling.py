@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spreadcodes import cli, doubling, spreads
+from spreadcodes import cli, doubling, orbits, spreads
 from spreadcodes.constructions import cps_build, hkk_build
 from spreadcodes.doubling import (
     ALLOWED_PATTERNS,
@@ -301,7 +301,7 @@ class TestCensusStreaming:
 class TestGL52Generators:
     def test_each_is_a_disjointness_preserving_line_bijection(self):
         lines = tables().lines
-        for perm in doubling._line_permutations():
+        for perm in orbits._line_permutations():
             assert sorted(perm) == list(range(155))
             for i, j in itertools.combinations(range(155), 2):
                 a, b = lines[perm[i]], lines[perm[j]]
@@ -310,7 +310,7 @@ class TestGL52Generators:
                 )
 
     def test_each_maps_reference_spreads_to_type_x(self, reference_pairs):
-        for perm in doubling._line_permutations():
+        for perm in orbits._line_permutations():
             for pair in reference_pairs:
                 for s in pair:
                     image = Spread.from_line_ids([perm[i] for i in s.line_ids])
@@ -335,7 +335,7 @@ def _image(s, g, rng) -> Spread:
 
 
 class TestCollineations:
-    """Oracles for ``doubling._collineations`` on the four orbit
+    """Oracles for ``orbits._collineations`` on the four orbit
     representatives: no brute force over the 9,999,360 matrices."""
 
     @pytest.fixture(scope="class")
@@ -350,7 +350,7 @@ class TestCollineations:
 
     def test_spread_orbits_returns_the_representatives(self, reps):
         tags = ("X", "IDelta", "E", "IDelta")
-        got = [(s.line_ids, classify(s).tag, k) for s, k in doubling.spread_orbits()]
+        got = [(s.line_ids, classify(s).tag, k) for s, k in orbits.spread_orbits()]
         assert got == [(s.line_ids, tag, k) for (s, k), tag in zip(reps, tags)]
 
     def test_each_maps_s_onto_t_through_the_table_image(self, reps):
@@ -358,7 +358,7 @@ class TestCollineations:
         rng = random.Random(5)
         for s, _ in reps:
             for target in (s, _image(s, _random_collineation(rng), rng)):
-                found = list(doubling._collineations(s, target))
+                found = list(orbits._collineations(s, target))
                 assert found
                 for g in found:
                     m = (g[1], g[2], g[4], g[8], g[16])
@@ -367,7 +367,7 @@ class TestCollineations:
 
     def test_stabilizer_of_x_row_0_is_closed_under_composition(self, reps):
         s = next(s for s, _ in reps if classify(s).tag == "X")
-        stab = set(doubling._collineations(s, s))
+        stab = set(orbits._collineations(s, s))
         assert len(stab) == 24 and tuple(range(32)) in stab
         assert {tuple(g[x] for x in h) for g in stab for h in stab} == stab
 
@@ -377,13 +377,13 @@ class TestCollineations:
             g = _random_collineation(rng)
             for s, k in reps:
                 image = _image(s, g, rng)
-                onto = sum(1 for _ in doubling._collineations(s, image))
-                assert onto == sum(1 for _ in doubling._collineations(s, s)) == k
+                onto = sum(1 for _ in orbits._collineations(s, image))
+                assert onto == sum(1 for _ in orbits._collineations(s, s)) == k
 
     def test_the_two_idelta_representatives_are_not_isomorphic(self, reps):
         a, b = [s for s, _ in reps if classify(s).tag == "IDelta"]
-        assert next(doubling._collineations(a, b), None) is None
-        assert next(doubling._collineations(b, a), None) is None
+        assert next(orbits._collineations(a, b), None) is None
+        assert next(orbits._collineations(b, a), None) is None
 
 
 class TestExhaustiveCensus:
@@ -399,14 +399,28 @@ class TestExhaustiveCensus:
         # limit, scales it again without a pattern census of its own
         first = exhaustive_xx_census(limit=1)
         calls = []
-        real = doubling.pattern_census
+        real = orbits.pattern_census
         monkeypatch.setattr(
-            doubling, "pattern_census", lambda pairs: calls.append(1) or real(pairs)
+            orbits, "pattern_census", lambda pairs: calls.append(1) or real(pairs)
         )
         again = exhaustive_xx_census(limit=2)
         assert calls == []
         assert again.pair_count == 2 * first.pair_count
         assert again.histogram == {k: 2 * c for k, c in first.histogram.items()}
+
+    def test_common_line_test_matches_classify_oracle(self):
+        # the partner filter of ``_partner_census`` against the full typing
+        # it stands in for, on every one of the 64,016 partner rows of the
+        # type-X representative: both keep the same 4,560 rows
+        ((s1, _),) = [
+            (s, k) for s, k in orbits.spread_orbits() if classify(s).tag == "X"
+        ]
+        every = (1 << 155) - 1
+        rows = list(_clique_extend(tables().adjacency, [], every & ~s1.perp_bits))
+        assert len(rows) == 64_016
+        fast = [orbits._has_common_line(r) for r in rows]
+        assert fast == [spreads._classify(r).tag == "X" for r in rows]
+        assert sum(fast) == 4_560
 
     @pytest.mark.slow
     def test_x_rows_of_the_enumeration_are_the_orbit_of_the_representative(
@@ -418,12 +432,12 @@ class TestExhaustiveCensus:
         # search over sorted line-id keys, and its partners are the rows with
         # no line in ``s1.perp_bits``
         ((s1, stab),) = [
-            (s, k) for s, k in doubling.spread_orbits() if classify(s).tag == "X"
+            (s, k) for s, k in orbits.spread_orbits() if classify(s).tag == "X"
         ]
         x_rows = bulk.line_ids[bulk.types == 0]
         assert len(x_rows) == 9_999_360 // stab
         assert Spread.from_line_ids(x_rows[0]) == s1
-        perms = doubling._line_permutations()
+        perms = orbits._line_permutations()
         seen, frontier = {s1.key}, {s1.key}
         while frontier:
             frontier = {
@@ -440,7 +454,7 @@ class TestExhaustiveCensus:
 
     @pytest.mark.parametrize(
         "stray",
-        [doubling._GENERATORS[0], (0,) * 32],
+        [orbits._GENERATORS[0], (0,) * 32],
         ids=["moves-the-spread", "maps-lines-to-zero"],
     )
     def test_orbits_fail_at_the_first_collineation_off_the_spread(
@@ -450,7 +464,7 @@ class TestExhaustiveCensus:
         # that moves S, or a table with no line as an image) must raise at
         # the first representative, row 0, with no other search begun: its
         # third call would mean that the walk went on through the rows
-        real = doubling._collineations
+        real = orbits._collineations
         adj = tables().adjacency
         row0 = Spread.from_line_ids(next(_clique_extend(adj, [0], adj[0])))
         assert stray not in set(real(row0, row0))
@@ -466,20 +480,20 @@ class TestExhaustiveCensus:
             yield from real(s, t)
             yield stray
 
-        monkeypatch.setattr(doubling, "_collineations", with_a_stray)
+        monkeypatch.setattr(orbits, "_collineations", with_a_stray)
         try:
-            doubling.spread_orbits.cache_clear()
+            orbits.spread_orbits.cache_clear()
             with pytest.raises(SpreadAnomaly, match="does not send"):
-                doubling.spread_orbits()
+                orbits.spread_orbits()
             assert calls == [(row0, row0)]
             calls.clear()
-            doubling.spread_orbits.cache_clear()
+            orbits.spread_orbits.cache_clear()
             assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
             assert "invariant violation: a collineation" in capsys.readouterr().err
             assert len(calls) == 1
         finally:
             monkeypatch.undo()
-            doubling.spread_orbits.cache_clear()  # drop the faked orbits
+            orbits.spread_orbits.cache_clear()  # drop the faked orbits
 
     def test_orbits_fail_when_the_generators_are_not_transitive(
         self, monkeypatch, capsys
@@ -488,22 +502,23 @@ class TestExhaustiveCensus:
         # itself alone: the certificate fails in the library, and the CLI
         # exits 3 with one line naming the pair
         identity = tuple(range(155))
-        monkeypatch.setattr(doubling, "_line_permutations", lambda: (identity,))
+        monkeypatch.setattr(orbits, "_line_permutations", lambda: (identity,))
         msg = "the generators carry the pair (0, 29) onto 1 of the 8680 pairs"
         try:
-            doubling.spread_orbits.cache_clear()
+            orbits.spread_orbits.cache_clear()
             with pytest.raises(SpreadAnomaly, match=re.escape(msg)):
-                doubling.spread_orbits()
-            doubling.spread_orbits.cache_clear()
+                orbits.spread_orbits()
+            orbits.spread_orbits.cache_clear()
             assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("invariant violation: " + msg)
         finally:
             monkeypatch.undo()
-            doubling.spread_orbits.cache_clear()  # drop the failed certificate
+            orbits.spread_orbits.cache_clear()  # drop the failed certificate
 
     def test_doubling_never_mentions_numpy(self):
-        assert "numpy" not in Path(doubling.__file__).read_text(encoding="utf-8")
+        for module in (doubling, orbits):
+            assert "numpy" not in Path(module.__file__).read_text(encoding="utf-8")
 
     @pytest.mark.slow
     def test_full_census_never_enumerates_every_spread(self):
@@ -547,9 +562,9 @@ class TestExhaustiveCensus:
         # (a) the type-X representative typed E: no orbit is of type X;
         # (b) the E spreads typed X: two orbits are; (c) every stabilizer one
         # element short: the orbit sizes no longer add up to the double count
-        real_classify, real_search = doubling.classify, doubling._collineations
+        real_classify, real_search = doubling.classify, orbits._collineations
         x_rep = next(
-            s for s, _ in doubling.spread_orbits() if classify(s).tag == "X"
+            s for s, _ in orbits.spread_orbits() if classify(s).tag == "X"
         )
 
         def x_rep_as_e(s):
@@ -565,13 +580,14 @@ class TestExhaustiveCensus:
             return itertools.islice(found, 1, None) if s is t else found
 
         try:
-            for name, fake, match in (
-                ("classify", x_rep_as_e, "0 orbits of type-X spreads"),
-                ("classify", e_as_x, "2 orbits of type-X spreads"),
-                ("_collineations", one_short, "stabilizers of orders"),
+            for modules, name, fake, match in (
+                ((doubling, orbits), "classify", x_rep_as_e, "0 orbits of type-X spreads"),
+                ((doubling, orbits), "classify", e_as_x, "2 orbits of type-X spreads"),
+                ((orbits,), "_collineations", one_short, "stabilizers of orders"),
             ):
-                monkeypatch.setattr(doubling, name, fake)
-                doubling.spread_orbits.cache_clear()
+                for module in modules:
+                    monkeypatch.setattr(module, name, fake)
+                orbits.spread_orbits.cache_clear()
                 with pytest.raises(SpreadAnomaly, match=match):
                     exhaustive_xx_census(limit=1)
                 assert cli.main(["census", "--exhaustive", "--limit", "1"]) == 3
@@ -579,5 +595,5 @@ class TestExhaustiveCensus:
                 monkeypatch.undo()
         finally:
             # drop the faked orbits, and any census typed by a faked classify
-            doubling.spread_orbits.cache_clear()
-            doubling._partner_census.cache_clear()
+            orbits.spread_orbits.cache_clear()
+            orbits._partner_census.cache_clear()

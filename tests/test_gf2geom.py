@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import act_vector, dot
-from spreadcodes import doubling
+from spreadcodes import orbits
 from spreadcodes.constructions import _cps_matrix, cps_group
 from spreadcodes.gf2geom import (
     Subspace,
@@ -79,6 +79,30 @@ class TestPointNotation:
         for v in range(1, 64):
             assert parse_point(format_point(v, 6), 6) == v
 
+    def test_round_trip_every_point_for_n_up_to_9(self):
+        # a token may need more than 3 symbols from n = 7 on (1234 in
+        # GF(2)^7); each one reads back as its point
+        for n in range(1, 10):
+            tokens = [format_point(v, n) for v in range(1, 1 << n)]
+            assert [parse_point(t, n) for t in tokens] == list(range(1, 1 << n))
+            assert all(t.isalnum() and len(set(t)) == len(t) for t in tokens)
+        assert format_point(0b1111, 7) == "1234"
+
+    def test_n_above_9_is_refused(self):
+        # at n = 10 the symbol 10 would also read as the token 1 then 0,
+        # and at n = 12 the token 12 as e1 + e2 and as e12
+        for n in (10, 12):
+            with pytest.raises(ValueError, match="point notation covers"):
+                format_point(1, n)
+            for token in ("1", "10", "12"):
+                with pytest.raises(ValueError, match="point notation covers"):
+                    parse_point(token, n)
+        # a subspace of GF(2)^10 shows its basis as bitstrings instead
+        assert repr(Subspace([1 << 9, 1], 10)) == (
+            "Subspace(10, <1000000000,0000000001>)"
+        )
+        assert repr(Subspace([1 << 8, 1], 9)) == "Subspace(9, <1,9>)"
+
     def test_bitstring_convention(self):
         # coordinate 1 is the leftmost character
         assert point_to_bitstring(parse_point("25")) == "01001"
@@ -142,7 +166,7 @@ class TestSpan:
         for m in generators + cps + drawn:
             assert span(m) == [act_vector(x, m) for x in range(32)]
         # and these are the tables the program acts by
-        assert doubling._GENERATORS == tuple(tuple(span(m)) for m in generators)
+        assert orbits._GENERATORS == tuple(tuple(span(m)) for m in generators)
         assert cps_group() == [tuple(span(m)) for m in cps]
 
     def test_mask_matches_brute_force_membership(self):
@@ -158,6 +182,21 @@ class TestSpan:
                     assert Subspace(b, n).mask == want
                     checked += 1
         assert checked == 2 + 5 + 16 + 67 + 374
+
+    def test_from_rref_matches_the_reducing_constructor(self):
+        """``Subspace.from_rref`` on every canonical basis with n <= 6
+        builds what ``Subspace(b, n)`` builds, in basis and in mask, as
+        ``enumerate_subspaces`` does."""
+        checked = 0
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for b, s in zip(rref_bases(n, k), enumerate_subspaces(n, k)):
+                    want = Subspace(b, n)
+                    for got in (Subspace.from_rref(b, n), s):
+                        assert (got.n, got.basis, got.mask) == (n, want.basis, want.mask)
+                        assert got == want and hash(got) == hash(want)
+                    checked += 1
+        assert checked == 3289
 
 
 class TestLatticeOps:

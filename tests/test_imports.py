@@ -263,13 +263,25 @@ CLI_IMPORT = textwrap.dedent(
     import contextlib, hashlib, io, json, sys
     import spreadcodes.cli
 
-    watched = ("csv", "spreadcodes.corpus", "numpy")
+    watched = ("csv", "spreadcodes.corpus", "numpy", "spreadcodes.spreadfile",
+               "spreadcodes.orbits", "spreadcodes.constructions")
     out = {"loaded": [m for m in watched if m in sys.modules]}
-    for argv in (["enumerate", "lines", "--format", "csv"], ["verify-paper"]):
+
+    def run(argv):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             rc = spreadcodes.cli.main(argv)
-        out[argv[0]] = hashlib.sha256(f"{rc}\\n{buf.getvalue()}".encode()).hexdigest()
+        return rc, buf.getvalue()
+
+    # the construction commands run without the spread-file parser
+    for argv in (["hkk", "--limit", "1"], ["cps", "--limit", "1"]):
+        rc, text = run(argv)
+        out[argv[0]] = [rc, "spreadcodes.spreadfile" in sys.modules]
+    rc, text = run(["census", "--exhaustive", "--limit", "1"])
+    out["census"] = [rc, "spreadcodes.orbits" in sys.modules]
+    for argv in (["enumerate", "lines", "--format", "csv"], ["verify-paper"]):
+        rc, text = run(argv)
+        out[argv[0]] = hashlib.sha256(f"{rc}\\n{text}".encode()).hexdigest()
     print(json.dumps(out))
     """
 )
@@ -277,8 +289,11 @@ CLI_IMPORT = textwrap.dedent(
 
 def test_cli_loads_csv_and_corpus_on_demand():
     """``import spreadcodes.cli`` loads neither ``csv`` nor the corpus nor
-    numpy; the commands that need the first two still print their pinned
-    output (``TestOutputPins`` in ``tests/test_cli.py``) in that process."""
+    numpy, nor the spread-file parser, the orbit layer or the
+    constructions; ``hkk`` and ``cps`` run without the parser, ``census
+    --exhaustive`` loads the orbit layer, and the commands that need ``csv``
+    and the corpus still print their pinned output (``TestOutputPins`` in
+    ``tests/test_cli.py``) in that process."""
     src = str(Path(spreadcodes.__file__).parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -288,6 +303,9 @@ def test_cli_loads_csv_and_corpus_on_demand():
     )
     assert json.loads(proc.stdout) == {
         "loaded": [],
+        "hkk": [0, False],
+        "cps": [0, False],
+        "census": [0, True],
         "enumerate": "152d237b532d8cad46bec3ea586ae9fff1db666abf777ac3f72d571d65be566f",
         "verify-paper": "d5bca078674d1709ee5f2a429a4383cc4b534ea616e0a1f9076da8afc9b39e42",
     }

@@ -1,9 +1,11 @@
 """The incidence tables against their definitions, recomputed by rref/dot."""
 
-from spreadcodes import doubling
+import itertools
+
+from spreadcodes import orbits
 from spreadcodes.constructions import cps_group
 from conftest import dot
-from spreadcodes.gf2geom import Subspace, enumerate_subspaces, rref, span
+from spreadcodes.gf2geom import Subspace, dual, enumerate_subspaces, rref, span
 from spreadcodes.pg42 import N_LINES, tables
 
 
@@ -25,6 +27,26 @@ class TestTables:
             p.mask for p in enumerate_subspaces(5, 3)
         )
 
+    def test_planes_match_dual_oracle(self):
+        """``planes[i]``, matched by the meet of two hyperplane masks, is
+        ``dual(lines[i])`` for all 155 lines, in basis and in mask."""
+        t = tables()
+        for line, plane in zip(t.lines, t.planes):
+            want = dual(line)
+            assert (plane.basis, plane.mask) == (want.basis, want.mask)
+
+    def test_plane_lines_match_point_pair_oracle(self):
+        """``plane_lines``, read off each plane's basis, against the
+        construction it replaced: the lines through each of the 21 pairs of
+        the plane's points, looked up by point mask."""
+        t = tables()
+        for p, bits in zip(t.planes, t.plane_lines):
+            want = {
+                t.line_id[1 | 1 << a | 1 << b | 1 << (a ^ b)]
+                for a, b in itertools.combinations(p.points(), 2)
+            }
+            assert bits == sum(1 << i for i in want)
+
     def test_plane_id_inverts_planes(self):
         t = tables()
         for p in enumerate_subspaces(5, 3):
@@ -36,7 +58,7 @@ class TestTables:
         CPS group and the GL(5,2) generators, against the image subspace
         built by rref from the images of a basis."""
         t = tables()
-        for g in cps_group() + list(doubling._GENERATORS):
+        for g in cps_group() + list(orbits._GENERATORS):
             for table in (t.lines, t.planes):
                 for s in table:
                     want = Subspace([g[v] for v in s.basis], 5)
@@ -47,7 +69,7 @@ class TestTables:
         under g is the id of the image of line l under g^-T, the table h
         with h[u] . g[w] = u . w for all u, w."""
         t = tables()
-        for g in cps_group() + list(doubling._GENERATORS):
+        for g in cps_group() + list(orbits._GENERATORS):
             h = span(
                 next(
                     v
